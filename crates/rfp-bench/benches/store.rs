@@ -1,10 +1,10 @@
 //! Economics of the persistent experiment store: what one entry costs to
 //! publish and to serve, and what the store buys end-to-end across the
-//! full `experiments all` config inventory — a cold (publishing) sweep,
-//! a warm (all-hits) re-run, and a cold-results sweep that still forks
-//! from persisted warm snapshots. Merged into `BENCH_engine.json` under
-//! the `store` section. Byte-identity of every arm against the store-off
-//! reference is asserted before anything is written.
+//! full `experiments all` config inventory — a cold (publishing) sweep
+//! and a warm (all-hits) re-run against a store-off sweep. Merged into
+//! `BENCH_engine.json` under the `store` section. Byte-identity of every
+//! arm against the store-off reference is asserted before anything is
+//! written.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -91,9 +91,7 @@ fn all_plan_configs() -> Vec<CoreConfig> {
 
 /// One-shot measurements written into `BENCH_engine.json`: wall time of
 /// the full config inventory with the store off, cold (first run,
-/// publishing every tier), warm (second run, every job a disk read), and
-/// cold-results-only (result tier dropped, jobs re-simulated from
-/// persisted warm snapshots and compiled arenas).
+/// publishing every result) and warm (second run, every job a disk read).
 fn bench_store_json(_c: &mut Criterion) {
     let scratch = Scratch::new();
     let configs = all_plan_configs();
@@ -104,33 +102,19 @@ fn bench_store_json(_c: &mut Criterion) {
         let out = run_grid_pooled(&pool, &configs, threads, false);
         (t.elapsed().as_secs_f64(), out)
     };
-    // Interleave the repeated arms (off, warm, cold-snapshots) so host
-    // drift over the minutes these sweeps take doesn't land on one mode;
-    // a truly cold store exists only once, so that arm is single-shot.
+    // Interleave the repeated arms (off, warm) so host drift over the
+    // minutes these sweeps take doesn't land on one mode; a truly cold
+    // store exists only once, so that arm is single-shot.
     let (off_a, off_out) = run(None);
     let (cold_secs, cold_out) = run(Some(scratch.open()));
     let (warm_a, warm_out) = run(Some(scratch.open()));
     let (off_b, _) = run(None);
     let (warm_b, _) = run(Some(scratch.open()));
-    let snap_store = scratch.open();
-    assert!(
-        snap_store.clear_tier(Tier::Result) > 0,
-        "cold run published"
-    );
-    let (snap_a, snap_out) = run(Some(snap_store));
-    let snap_store = scratch.open();
-    snap_store.clear_tier(Tier::Result);
-    let (snap_b, _) = run(Some(snap_store));
     let off_secs = off_a.min(off_b);
     let warm_secs = warm_a.min(warm_b);
-    let cold_snap_secs = snap_a.min(snap_b);
 
     // The store is a pure performance feature: every arm byte-identical.
-    for (arm, out) in [
-        ("cold", &cold_out),
-        ("warm", &warm_out),
-        ("cold-snapshots", &snap_out),
-    ] {
+    for (arm, out) in [("cold", &cold_out), ("warm", &warm_out)] {
         for (off_row, row) in off_out.reports.iter().zip(&out.reports) {
             for (a, b) in off_row.iter().zip(row) {
                 assert_eq!(a.canonical_text(), b.canonical_text(), "{arm} diverged");
@@ -145,27 +129,18 @@ fn bench_store_json(_c: &mut Criterion) {
         warm_out.telemetry.len(),
         "second run must serve every job from disk"
     );
-    assert_eq!(hits(&snap_out), 0, "cleared results cannot hit");
 
-    // Re-measure disk occupancy with a fresh handle (the last snapshot
-    // arm republished the result tier, so all three tiers are full).
-    let store = scratch.open();
-    let [results, warm, traces] = store.disk_stats();
-    let tier_json = |u: rfp_bench::TierUsage| {
-        format!("{{ \"entries\": {}, \"bytes\": {} }}", u.entries, u.bytes)
-    };
+    let [results, _history] = scratch.open().disk_stats();
     let jobs = off_out.telemetry.len();
     let section = format!(
-        "{{\n    \"trace_len\": {GRID_LEN},\n    \"configs\": {},\n    \"workloads\": {},\n    \"jobs\": {jobs},\n    \"threads\": {threads},\n    \"timing\": \"min of 2 interleaved rounds (off, warm, cold_snap); 1 round (cold)\",\n    \"off_secs\": {off_secs:.3},\n    \"cold_secs\": {cold_secs:.3},\n    \"warm_secs\": {warm_secs:.3},\n    \"cold_snap_secs\": {cold_snap_secs:.3},\n    \"warm_vs_cold_speedup\": {:.3},\n    \"warm_vs_off_speedup\": {:.3},\n    \"cold_snap_vs_off_speedup\": {:.3},\n    \"cold_publish_overhead_frac\": {:.4},\n    \"disk\": {{ \"results\": {}, \"warm\": {}, \"traces\": {} }}\n  }}",
+        "{{\n    \"trace_len\": {GRID_LEN},\n    \"configs\": {},\n    \"workloads\": {},\n    \"jobs\": {jobs},\n    \"threads\": {threads},\n    \"timing\": \"min of 2 interleaved rounds (off, warm); 1 round (cold)\",\n    \"off_secs\": {off_secs:.3},\n    \"cold_secs\": {cold_secs:.3},\n    \"warm_secs\": {warm_secs:.3},\n    \"warm_vs_cold_speedup\": {:.3},\n    \"warm_vs_off_speedup\": {:.3},\n    \"cold_publish_overhead_frac\": {:.4},\n    \"disk\": {{ \"results\": {{ \"entries\": {}, \"bytes\": {} }} }}\n  }}",
         configs.len(),
         off_out.reports.first().map_or(0, Vec::len),
         cold_secs / warm_secs,
         off_secs / warm_secs,
-        off_secs / cold_snap_secs,
         (cold_secs - off_secs) / off_secs,
-        tier_json(results),
-        tier_json(warm),
-        tier_json(traces),
+        results.entries,
+        results.bytes,
     );
 
     let path = std::path::Path::new(concat!(
@@ -177,7 +152,7 @@ fn bench_store_json(_c: &mut Criterion) {
         std::process::exit(2);
     });
     println!(
-        "merged store section into {} (off {off_secs:.1}s, cold {cold_secs:.1}s, warm {warm_secs:.1}s, cold+snapshots {cold_snap_secs:.1}s, warm speedup {:.1}x)",
+        "merged store section into {} (off {off_secs:.1}s, cold {cold_secs:.1}s, warm {warm_secs:.1}s, warm speedup {:.1}x)",
         path.display(),
         cold_secs / warm_secs,
     );

@@ -54,10 +54,9 @@
 //! `diff`, so the report predicts the gate outcome.
 //!
 //! Persistent store: with `RFP_STORE=<dir>` (or `--store DIR`;
-//! `--no-store` disables), finished job results, warm snapshots and
-//! compiled trace arenas are cached on disk content-addressed by their
-//! full inputs, so an unchanged job is a file read instead of a
-//! simulation. Stdout is byte-identical with the store off, cold or
+//! `--no-store` disables), finished job results are cached on disk
+//! content-addressed by their full inputs, so an unchanged job is a file
+//! read instead of a simulation. Stdout is byte-identical with the store off, cold or
 //! warm. `experiments store stats | gc --max-bytes N | clear` maintains
 //! the directory.
 //!

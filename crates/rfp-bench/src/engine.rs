@@ -392,9 +392,8 @@ pub struct WarmPool {
     /// Warmup uops per run (`len / 2`, matching `simulate_workload`).
     warmup: u64,
     /// Persistent content-addressed store ([`crate::ExpStore`]), when
-    /// configured: warm snapshots and compiled arenas are looked up here
-    /// before being built (and published after), and the grid runner
-    /// checks it for finished job results before simulating at all.
+    /// configured: the grid runner checks it for finished job results
+    /// before simulating at all, and publishes every result it simulates.
     store: Option<Arc<ExpStore>>,
     /// Engine self-tracer ([`EngineTracer`]), when armed: the pool and
     /// the grid runner record spans for trace compiles, warm captures,
@@ -543,59 +542,16 @@ impl WarmPool {
         if let Some(t) = traces.get(&wi) {
             return Arc::clone(t);
         }
-        // Built (or loaded) while holding the lock: compilation is ~1%
-        // of a job's simulation time, and building once beats racing
-        // builds.
+        // Built while holding the lock: compilation is ~1% of a job's
+        // simulation time, and building once beats racing builds.
         let total = self.measured + self.warmup;
-        let name = suite[wi].name;
         let t0 = self.tracer.as_ref().map(|tr| tr.now_nanos());
-        let span = |outcome: &'static str, fields: Vec<(&'static str, u64)>| {
-            if let (Some(tr), Some(t0)) = (&self.tracer, t0) {
-                tr.record("trace-compile", name.to_string(), outcome, fields, 0, t0);
-            }
-        };
-        let t = if let Some(s) = &self.store {
-            let key = store::trace_key(total, self.warmup, SAMPLE_INTERVAL_UOPS, name);
-            match s.get::<CompiledTrace>(Tier::Trace, &key) {
-                Some((t, n)) => {
-                    if let Some(tr) = &self.tracer {
-                        tr.instant(
-                            "store-get",
-                            format!("trace|{name}"),
-                            "hit",
-                            vec![("bytes", n)],
-                            0,
-                        );
-                    }
-                    span("store-hit", vec![("uops", total), ("bytes", n)]);
-                    Arc::new(t)
-                }
-                None => {
-                    if let Some(tr) = &self.tracer {
-                        tr.instant("store-get", format!("trace|{name}"), "miss", vec![], 0);
-                    }
-                    self.trace_builds.fetch_add(1, Ordering::Relaxed);
-                    let t = suite[wi].compiled(total, self.warmup, SAMPLE_INTERVAL_UOPS);
-                    let written = s.put(Tier::Trace, &key, &t);
-                    if let Some(tr) = &self.tracer {
-                        tr.instant(
-                            "store-put",
-                            format!("trace|{name}"),
-                            "published",
-                            vec![("bytes", written)],
-                            0,
-                        );
-                    }
-                    span("built", vec![("uops", total)]);
-                    Arc::new(t)
-                }
-            }
-        } else {
-            self.trace_builds.fetch_add(1, Ordering::Relaxed);
-            let t = Arc::new(suite[wi].compiled(total, self.warmup, SAMPLE_INTERVAL_UOPS));
-            span("built", vec![("uops", total)]);
-            t
-        };
+        self.trace_builds.fetch_add(1, Ordering::Relaxed);
+        let t = Arc::new(suite[wi].compiled(total, self.warmup, SAMPLE_INTERVAL_UOPS));
+        if let (Some(tr), Some(t0)) = (&self.tracer, t0) {
+            let (name, fields) = (suite[wi].name.to_string(), vec![("uops", total)]);
+            tr.record("trace-compile", name, "built", fields, 0, t0);
+        }
         traces.insert(wi, Arc::clone(&t));
         t
     }
@@ -633,71 +589,17 @@ impl WarmPool {
         let state = cell.get_or_init(|| {
             built = true;
             self.snapshot_misses.fetch_add(1, Ordering::Relaxed);
-            let name = suite[wi].name;
             let t0 = self.tracer.as_ref().map(|tr| tr.now_nanos());
-            let span = |outcome: &'static str, fields: Vec<(&'static str, u64)>| {
-                if let (Some(tr), Some(t0)) = (&self.tracer, t0) {
-                    tr.record(
-                        "warm-capture",
-                        format!("{name}|{key:016x}"),
-                        outcome,
-                        fields,
-                        0,
-                        t0,
-                    );
-                }
-            };
-            // The persistent store is checked under the *projection* key:
-            // configs sharing a projection produce bit-identical warm
-            // state, so a snapshot persisted by one serves them all —
-            // across sweeps and processes, not just within this grid.
-            if let Some(s) = &self.store {
-                let skey = store::warm_snapshot_key(self.warmup, name, &warm_projection(cfg));
-                if let Some((ws, n)) = s.get::<WarmState>(Tier::Warm, &skey) {
-                    if let Some(tr) = &self.tracer {
-                        tr.instant(
-                            "store-get",
-                            format!("warm|{name}|{key:016x}"),
-                            "hit",
-                            vec![("bytes", n)],
-                            0,
-                        );
-                    }
-                    span("store-hit", vec![("warmup", self.warmup), ("bytes", n)]);
-                    return Arc::new(ws);
-                }
-                if let Some(tr) = &self.tracer {
-                    tr.instant(
-                        "store-get",
-                        format!("warm|{name}|{key:016x}"),
-                        "miss",
-                        vec![],
-                        0,
-                    );
-                }
-                let trace = self.trace(suite, wi);
-                let ws =
-                    warm_up_workload(cfg, &suite[wi], self.warmup, trace.ops().iter().copied())
-                        .expect("valid config");
-                let written = s.put(Tier::Warm, &skey, &ws);
-                if let Some(tr) = &self.tracer {
-                    tr.instant(
-                        "store-put",
-                        format!("warm|{name}|{key:016x}"),
-                        "published",
-                        vec![("bytes", written)],
-                        0,
-                    );
-                }
-                span("built", vec![("warmup", self.warmup)]);
-                return Arc::new(ws);
-            }
             let trace = self.trace(suite, wi);
             let ws = Arc::new(
                 warm_up_workload(cfg, &suite[wi], self.warmup, trace.ops().iter().copied())
                     .expect("valid config"),
             );
-            span("built", vec![("warmup", self.warmup)]);
+            if let (Some(tr), Some(t0)) = (&self.tracer, t0) {
+                let key = format!("{}|{key:016x}", suite[wi].name);
+                let fields = vec![("warmup", self.warmup)];
+                tr.record("warm-capture", key, "built", fields, 0, t0);
+            }
             ws
         });
         if !built {
@@ -772,11 +674,7 @@ fn plan_jobs(pool: &WarmPool, configs: &[CoreConfig]) -> Vec<JobPlan> {
         })
         .collect();
     // A snapshot pays for itself when its sharing key serves >= 2 jobs
-    // (or a pinned follow-up grid). With a persistent store every
-    // snapshot is worthy: a one-off build is amortized across future
-    // sweeps, and a persisted snapshot turns a singleton job's warmup
-    // into one disk read. (Byte-identity is unaffected — the fork path
-    // is exact by construction.)
+    // (or a pinned follow-up grid).
     let mut counts: HashMap<u64, usize> = HashMap::new();
     for p in &plans {
         let share = p.twin.as_ref().map_or(p.exact, |(k, _)| *k);
@@ -786,7 +684,7 @@ fn plan_jobs(pool: &WarmPool, configs: &[CoreConfig]) -> Vec<JobPlan> {
         .into_iter()
         .map(|mut p| {
             let share = p.twin.as_ref().map_or(p.exact, |(k, _)| *k);
-            p.worthy = counts[&share] >= 2 || pinned.contains(&share) || pool.store.is_some();
+            p.worthy = counts[&share] >= 2 || pinned.contains(&share);
             p
         })
         .collect()
@@ -1072,9 +970,7 @@ pub struct JobTelemetry {
     pub warm: &'static str,
     /// Result-store outcome for this job: `"off"` (no store configured),
     /// `"hit"` (report read from disk, nothing simulated) or `"miss"`
-    /// (simulated, then published). Warm-snapshot and trace-arena store
-    /// traffic is shared across jobs and therefore only appears in the
-    /// store's aggregate counters, not here.
+    /// (simulated, then published).
     pub store: &'static str,
     /// Result-entry bytes read on a store hit (0 otherwise).
     pub store_bytes_read: u64,

@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use rfp_obs::EngineTracer;
-use rfp_stats::{EngineMetrics, EngineTiming, ENGINE_STORE_TIER_LABELS};
+use rfp_stats::{EngineMetrics, EngineTiming};
 
 use crate::engine::{JobTelemetry, WarmPoolStats};
 use crate::store::StoreStats;
@@ -45,19 +45,11 @@ pub fn engine_trace_from_env() -> Option<PathBuf> {
     Some(p)
 }
 
-/// Maps a `store-get` / `store-put` span key to its tier index in
-/// [`ENGINE_STORE_TIER_LABELS`] order, from the `tier|...` key prefix
-/// the engine's span sites emit.
-fn span_tier(key: &str) -> Option<usize> {
-    let (prefix, _) = key.split_once('|')?;
-    ENGINE_STORE_TIER_LABELS.iter().position(|l| *l == prefix)
-}
-
 /// Assembles the versioned [`EngineMetrics`] summary for one grid run.
 ///
 /// Deterministic counters come from deterministic sources — job counts,
 /// warm arms and queue depths from `telemetry`, warm-pool counters from
-/// `pool_stats`, per-tier store traffic from the tracer's `store-get` /
+/// `pool_stats`, result-store traffic from the tracer's `store-get` /
 /// `store-put` spans (whose outcomes are thread-count-invariant because
 /// store keys are content addresses), and the corrupt count from the
 /// store's own stats. Host timing (workers, steals, wall nanoseconds)
@@ -78,9 +70,6 @@ pub fn engine_metrics(
     m.transplants = pool_stats.transplants;
     m.trace_builds = pool_stats.trace_builds;
     for s in tracer.spans() {
-        let Some(tier) = span_tier(&s.key) else {
-            continue;
-        };
         let bytes = s
             .fields
             .iter()
@@ -88,11 +77,11 @@ pub fn engine_metrics(
             .map_or(0, |(_, v)| *v);
         match (s.kind, s.outcome) {
             ("store-get", "hit") => {
-                m.store_hits[tier] += 1;
-                m.store_bytes_read[tier] += bytes;
+                m.store_hits += 1;
+                m.store_bytes_read += bytes;
             }
-            ("store-get", "miss") => m.store_misses[tier] += 1,
-            ("store-put", "published") => m.store_bytes_written[tier] += bytes,
+            ("store-get", "miss") => m.store_misses += 1,
+            ("store-put", "published") => m.store_bytes_written += bytes,
             _ => {}
         }
     }
@@ -185,15 +174,14 @@ mod tests {
             vec![("bytes", 100)],
             1,
         );
-        tracer.instant("store-get", "warm|w|00ff".into(), "miss", vec![], 1);
+        tracer.instant("store-get", "result|w|cfg1".into(), "miss", vec![], 1);
         tracer.instant(
             "store-put",
-            "warm|w|00ff".into(),
+            "result|w|cfg1".into(),
             "published",
             vec![("bytes", 40)],
             1,
         );
-        tracer.instant("store-get", "trace|w".into(), "hit", vec![("bytes", 7)], 0);
         tracer.instant("claim", "w|cfg0".into(), "ok", vec![("claim", 0)], 1);
         tracer.timing_max("workers", 2);
         tracer.timing_counter("steals", 1);
@@ -203,11 +191,11 @@ mod tests {
         assert_eq!(m.jobs, 2);
         assert_eq!(m.jobs_by_warm.get("fork"), Some(&1));
         assert_eq!(m.snapshot_hits, 3);
-        // result tier hit, warm tier miss+put, trace tier hit.
-        assert_eq!(m.store_hits, [1, 0, 1]);
-        assert_eq!(m.store_misses, [0, 1, 0]);
-        assert_eq!(m.store_bytes_read, [100, 0, 7]);
-        assert_eq!(m.store_bytes_written, [0, 40, 0]);
+        // One result hit, one miss that published.
+        assert_eq!(m.store_hits, 1);
+        assert_eq!(m.store_misses, 1);
+        assert_eq!(m.store_bytes_read, 100);
+        assert_eq!(m.store_bytes_written, 40);
         assert_eq!(
             m.timing,
             EngineTiming {
@@ -224,7 +212,10 @@ mod tests {
         tracer.instant("claim", "w|cfg0".into(), "ok", vec![], 1);
         let m = engine_metrics(&tracer, &[telemetry_row(0, "off", 1)], &pool_stats(), None);
         let doc = engine_trace_json(&tracer, &m);
-        assert!(doc.contains("\"engineMetrics\":{\"schema\":1,"));
+        assert!(doc.contains(&format!(
+            "\"engineMetrics\":{{\"schema\":{},",
+            rfp_stats::ENGINE_METRICS_SCHEMA_VERSION
+        )));
         // The document must be valid JSON by the repo's own parser.
         let parsed = crate::parse_json(&doc).expect("engine trace parses");
         let flat = crate::flatten(&parsed);

@@ -59,8 +59,8 @@ pub use history::{
 pub use inspect::{inspect_workload, InspectOutcome, INSPECT_LEAD_UOPS};
 pub use report::{render_report, ReportInputs, ReportPath};
 pub use store::{
-    render_store_stats, result_key, trace_key, warm_snapshot_key, ExpStore, StoreDir, StoreStats,
-    Tier, TierUsage, STORE_SCHEMA_VERSION,
+    render_store_stats, result_key, ExpStore, StoreDir, StoreStats, Tier, TierUsage,
+    STORE_SCHEMA_VERSION,
 };
 
 /// Default measured trace length per workload (after an equal warmup).

@@ -459,33 +459,26 @@ fn engine_section(trace: Option<&Json>, telemetry: Option<&str>) -> String {
                 ]],
             ));
         }
-        if let Some(store) = get(m, "store").and_then(obj) {
-            let tab: Vec<Vec<String>> = store
-                .iter()
-                .filter_map(|(tier, t)| {
-                    obj(t)?;
-                    let g = |k: &str| get(t, k).and_then(num).map_or("?".into(), fmt_num);
-                    Some(vec![
-                        tier.clone(),
-                        g("hits"),
-                        g("misses"),
-                        g("hit_rate"),
-                        g("bytes_read"),
-                        g("bytes_written"),
-                    ])
-                })
-                .collect();
-            out.push_str("<h3>Persistent store</h3>");
+        if let Some(store) = get(m, "store") {
+            let g = |k: &str| get(store, k).and_then(num).map_or("?".into(), fmt_num);
+            out.push_str("<h3>Persistent result store</h3>");
             out.push_str(&table(
                 &[
-                    "tier",
                     "hits",
                     "misses",
                     "hit rate",
                     "bytes read",
                     "bytes written",
+                    "corrupt",
                 ],
-                &tab,
+                &[vec![
+                    g("hits"),
+                    g("misses"),
+                    g("hit_rate"),
+                    g("bytes_read"),
+                    g("bytes_written"),
+                    g("corrupt"),
+                ]],
             ));
         }
         if let Some(timing) = get(m, "timing") {
@@ -809,11 +802,11 @@ mod tests {
             ),
             engine_trace: Some(
                 r#"{"traceEvents":[],"displayTimeUnit":"ms","otherData":{
-                    "engineMetrics":{"schema":1,"jobs":4,"jobs_by_warm":{"fork":3,"straight":1},
+                    "engineMetrics":{"schema":2,"jobs":4,"jobs_by_warm":{"fork":3,"straight":1},
                     "warm_pool":{"snapshot_hits":3,"snapshot_misses":1,
                                  "snapshot_hit_rate":0.75,"transplants":0,"trace_builds":1},
-                    "store":{"result":{"hits":1,"misses":3,"hit_rate":0.25,
-                                       "bytes_read":10,"bytes_written":30},"corrupt":0},
+                    "store":{"hits":1,"misses":3,"hit_rate":0.25,
+                             "bytes_read":10,"bytes_written":30,"corrupt":0},
                     "timing":{"workers":2,"steals":1,"wall_nanos":99}}}}"#
                     .to_string(),
             ),

@@ -2,23 +2,24 @@
 //!
 //! Sweeps are pure functions of their inputs: a job result is fully
 //! determined by the workload, the trace parameters, the configuration
-//! and the engine modes. The store persists three tiers of that work
-//! under a root directory so the *next* sweep — same process or next
-//! week's CI run — pays only for what actually changed:
+//! and the engine modes. The store persists two tiers under a root
+//! directory so the *next* sweep — same process or next week's CI run —
+//! pays only for the jobs that actually changed:
 //!
 //! - `results/` — one [`SimReport`](rfp_stats::SimReport) per
 //!   `(schema, trace params, config, sim mode, warm mode, probe arm,
 //!   workload)` job.
-//! - `warm/` — one [`WarmState`](rfp_core::WarmState) per
-//!   `(warm projection, warmup, workload)` cell, so a cold result store
-//!   still skips every warmup.
-//! - `traces/` — one [`CompiledTrace`](rfp_trace::CompiledTrace) arena
-//!   per `(trace params, workload)`.
 //! - `history/` — the append-only run-history ledger
 //!   (`crate::history`): one `RunRecord` per labelled sweep. Unlike the
-//!   three cache tiers above, ledger entries are *records*, not
-//!   recomputable cache state, so [`ExpStore::gc`] excludes the tier
-//!   unless explicitly asked (`store gc --include-history`).
+//!   result cache, ledger entries are *records*, not recomputable cache
+//!   state, so [`ExpStore::gc`] excludes the tier unless explicitly asked
+//!   (`store gc --include-history`).
+//!
+//! Warm snapshots and compiled trace arenas are not persisted: a
+//! snapshot fill cost more than it ever paid back, and reading an arena
+//! from disk is slower than recompiling it (DESIGN §9.9). Directories
+//! other than the two tiers (such as `warm/` and `traces/` left by older
+//! versions) are ignored.
 //!
 //! Entries are content-addressed: the file name is the FNV-1a digest of
 //! a canonical key string, and the full key is stored *inside* the entry
@@ -54,38 +55,33 @@ const MAGIC: &[u8; 8] = b"RFPSTORE";
 /// entries then read as misses and are overwritten by fresh results.
 pub const STORE_SCHEMA_VERSION: u32 = 1;
 
-/// The four content tiers of an [`ExpStore`].
+/// The two content tiers of an [`ExpStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
     /// Finished per-job [`SimReport`](rfp_stats::SimReport)s.
     Result,
-    /// Per-`(projection, workload)` warm snapshots.
-    Warm,
-    /// Compiled trace arenas.
-    Trace,
     /// Append-only run-history ledger records (`crate::history`).
     History,
 }
 
 impl Tier {
     /// All tiers, in directory-listing order.
-    pub const ALL: [Tier; 4] = [Tier::Result, Tier::Warm, Tier::Trace, Tier::History];
+    pub const ALL: [Tier; 2] = [Tier::Result, Tier::History];
 
     /// Subdirectory name under the store root.
     pub fn dir(self) -> &'static str {
         match self {
             Tier::Result => "results",
-            Tier::Warm => "warm",
-            Tier::Trace => "traces",
             Tier::History => "history",
         }
     }
 
+    /// Entry-header tier byte. Tags 1 and 2 belonged to the removed
+    /// snapshot and arena tiers; they stay unused so existing entries
+    /// keep their meaning without a schema bump.
     fn tag(self) -> u8 {
         match self {
             Tier::Result => 0,
-            Tier::Warm => 1,
-            Tier::Trace => 2,
             Tier::History => 3,
         }
     }
@@ -267,7 +263,8 @@ impl ExpStore {
         let mut payload = ByteWriter::new();
         value.encode(&mut payload);
         let payload = payload.into_bytes();
-        payload.encode_len_prefixed(&mut w);
+        w.put_u64(payload.len() as u64);
+        w.put_bytes(&payload);
         let mut sum = Fnv1a::new();
         sum.update(w.as_bytes());
         w.put_u64(sum.finish());
@@ -365,8 +362,8 @@ impl ExpStore {
     }
 
     /// Per-tier on-disk usage, in [`Tier::ALL`] order.
-    pub fn disk_stats(&self) -> [TierUsage; 4] {
-        let mut usage = [TierUsage::default(); 4];
+    pub fn disk_stats(&self) -> [TierUsage; Tier::ALL.len()] {
+        let mut usage = [TierUsage::default(); Tier::ALL.len()];
         for (i, tier) in Tier::ALL.iter().enumerate() {
             let Ok(dir) = std::fs::read_dir(self.root.join(tier.dir())) else {
                 continue;
@@ -433,21 +430,6 @@ impl ExpStore {
     }
 }
 
-/// Length-prefixed raw-bytes helper for the entry payload (the payload
-/// is opaque at the container layer; `Vec<u8>: Codec` would encode each
-/// byte through the element codec, which happens to be identical, but
-/// spelling it out keeps the container format self-evident).
-trait PutLenPrefixed {
-    fn encode_len_prefixed(&self, w: &mut ByteWriter);
-}
-
-impl PutLenPrefixed for Vec<u8> {
-    fn encode_len_prefixed(&self, w: &mut ByteWriter) {
-        w.put_u64(self.len() as u64);
-        w.put_bytes(self);
-    }
-}
-
 /// Outcome of verifying one on-disk entry against a lookup key.
 enum Decoded<T> {
     /// Verified, decoded, and keyed to this lookup.
@@ -459,87 +441,53 @@ enum Decoded<T> {
     Corrupt,
 }
 
-/// Verifies and decodes one entry.
-fn decode_entry<T: Codec>(bytes: &[u8], tier: Tier, key: &str) -> Decoded<T> {
-    // Checksum first: the trailing 8 bytes must equal the FNV-1a of
-    // everything before them, so any single corrupt byte is caught before
-    // the structured parse even starts.
+/// Verifies one entry's envelope: the trailing FNV-1a checksum, magic,
+/// schema version, tier tag, stored key and payload framing with no
+/// trailing bytes. Returns the stored key and the raw payload, or `None`
+/// on any damage. The checksum goes first, so any single corrupt byte is
+/// caught before the structured parse even starts.
+fn verify_envelope(bytes: &[u8], tier: Tier) -> Option<(String, &[u8])> {
     if bytes.len() < MAGIC.len() + 8 {
-        return Decoded::Corrupt;
+        return None;
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
     let mut sum = Fnv1a::new();
     sum.update(body);
     if tail != sum.finish().to_le_bytes() {
-        return Decoded::Corrupt;
+        return None;
     }
     let mut r = ByteReader::new(body);
-    if r.take(MAGIC.len()).ok() != Some(MAGIC) {
-        return Decoded::Corrupt;
+    if r.take(MAGIC.len()).ok() != Some(MAGIC)
+        || u32::decode(&mut r).ok() != Some(STORE_SCHEMA_VERSION)
+        || r.get_u8().ok() != Some(tier.tag())
+    {
+        return None;
     }
-    if u32::decode(&mut r).ok() != Some(STORE_SCHEMA_VERSION) {
-        return Decoded::Corrupt;
-    }
-    if r.get_u8().ok() != Some(tier.tag()) {
-        return Decoded::Corrupt;
-    }
-    match String::decode(&mut r) {
-        Ok(stored) if stored == key => {}
-        Ok(_) => return Decoded::Foreign,
-        Err(_) => return Decoded::Corrupt,
-    }
-    let Some(payload) = r
-        .get_u64()
-        .ok()
-        .and_then(|n| usize::try_from(n).ok())
-        .and_then(|n| r.take(n).ok())
-    else {
-        return Decoded::Corrupt;
-    };
-    if !r.is_empty() {
-        return Decoded::Corrupt;
-    }
-    match rfp_types::codec::decode_from_slice(payload) {
-        Ok(v) => Decoded::Value(v),
-        Err(_) => Decoded::Corrupt,
+    let key = String::decode(&mut r).ok()?;
+    let len = usize::try_from(r.get_u64().ok()?).ok()?;
+    let payload = r.take(len).ok()?;
+    r.is_empty().then_some((key, payload))
+}
+
+/// Verifies and decodes one entry looked up under `key`.
+fn decode_entry<T: Codec>(bytes: &[u8], tier: Tier, key: &str) -> Decoded<T> {
+    match verify_envelope(bytes, tier) {
+        None => Decoded::Corrupt,
+        Some((stored, _)) if stored != key => Decoded::Foreign,
+        Some((_, payload)) => match rfp_types::codec::decode_from_slice(payload) {
+            Ok(v) => Decoded::Value(v),
+            Err(_) => Decoded::Corrupt,
+        },
     }
 }
 
 /// Verifies and decodes one entry *without* a lookup key — the ledger's
 /// listing path, which enumerates a whole tier directory and so learns
-/// each entry's key from the entry itself. Every check of
-/// [`decode_entry`] except stored-key equality applies; the stored key
-/// is returned alongside the payload. `None` on any verification or
-/// decode failure (the caller skips the entry).
+/// each entry's key from the entry itself. The stored key is returned
+/// alongside the payload. `None` on any verification or decode failure
+/// (the caller skips the entry).
 pub(crate) fn decode_entry_unkeyed<T: Codec>(bytes: &[u8], tier: Tier) -> Option<(String, T)> {
-    if bytes.len() < MAGIC.len() + 8 {
-        return None;
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let mut sum = Fnv1a::new();
-    sum.update(body);
-    if tail != sum.finish().to_le_bytes() {
-        return None;
-    }
-    let mut r = ByteReader::new(body);
-    if r.take(MAGIC.len()).ok() != Some(MAGIC) {
-        return None;
-    }
-    if u32::decode(&mut r).ok() != Some(STORE_SCHEMA_VERSION) {
-        return None;
-    }
-    if r.get_u8().ok() != Some(tier.tag()) {
-        return None;
-    }
-    let key = String::decode(&mut r).ok()?;
-    let payload = r
-        .get_u64()
-        .ok()
-        .and_then(|n| usize::try_from(n).ok())
-        .and_then(|n| r.take(n).ok())?;
-    if !r.is_empty() {
-        return None;
-    }
+    let (key, payload) = verify_envelope(bytes, tier)?;
     rfp_types::codec::decode_from_slice(payload)
         .ok()
         .map(|v| (key, v))
@@ -573,26 +521,6 @@ pub fn result_key(
          |interval={}|sim={sim}|warm={warm}|obs={}|workload={workload}|cfg={cfg:?}",
         crate::engine::SAMPLE_INTERVAL_UOPS,
         u8::from(collect_obs),
-    )
-}
-
-/// Canonical warm-tier key for one `(projection, workload)` snapshot
-/// cell. Keyed by the [`warm_projection`](crate::engine::warm_projection)
-/// rendering — configs sharing a projection produce bit-identical warm
-/// state, so they share one persisted snapshot — and by the warmup
-/// length; the trace beyond the consumed prefix cannot influence the
-/// state, so the measured length stays out of the key.
-pub fn warm_snapshot_key(warmup: u64, workload: &str, projected: &rfp_core::CoreConfig) -> String {
-    format!(
-        "warm|schema={STORE_SCHEMA_VERSION}|warmup={warmup}|workload={workload}|cfg={projected:?}"
-    )
-}
-
-/// Canonical trace-tier key for one compiled arena.
-pub fn trace_key(total: u64, measured_from: u64, interval: u64, workload: &str) -> String {
-    format!(
-        "trace|schema={STORE_SCHEMA_VERSION}|total={total}|measured_from={measured_from}\
-         |interval={interval}|workload={workload}"
     )
 }
 
@@ -674,10 +602,10 @@ mod tests {
     fn tiers_and_keys_do_not_alias() {
         let s = Scratch::new("alias");
         let store = &s.0;
-        store.put(Tier::Warm, "k1", &7u64);
-        assert!(store.get::<u64>(Tier::Trace, "k1").is_none(), "tier");
-        assert!(store.get::<u64>(Tier::Warm, "k2").is_none(), "key");
-        assert_eq!(store.get::<u64>(Tier::Warm, "k1").expect("hit").0, 7);
+        store.put(Tier::Result, "k1", &7u64);
+        assert!(store.get::<u64>(Tier::History, "k1").is_none(), "tier");
+        assert!(store.get::<u64>(Tier::Result, "k2").is_none(), "key");
+        assert_eq!(store.get::<u64>(Tier::Result, "k1").expect("hit").0, 7);
     }
 
     #[test]
@@ -700,15 +628,15 @@ mod tests {
         let s = Scratch::new("corrupt");
         let store = &s.0;
         let value: Vec<u64> = (0..64).collect();
-        store.put(Tier::Trace, "k", &value);
-        let path = store.entry_path(Tier::Trace, "k");
+        store.put(Tier::Result, "k", &value);
+        let path = store.entry_path(Tier::Result, "k");
         let pristine = std::fs::read(&path).expect("entry");
 
         // Truncations at every interesting boundary.
         for cut in [0, 1, 7, 8, pristine.len() / 2, pristine.len() - 1] {
             std::fs::write(&path, &pristine[..cut]).expect("truncate");
             assert!(
-                store.get::<Vec<u64>>(Tier::Trace, "k").is_none(),
+                store.get::<Vec<u64>>(Tier::Result, "k").is_none(),
                 "truncated to {cut} bytes must miss"
             );
         }
@@ -718,7 +646,7 @@ mod tests {
             bad[i] ^= 0x40;
             std::fs::write(&path, &bad).expect("flip");
             assert!(
-                store.get::<Vec<u64>>(Tier::Trace, "k").is_none(),
+                store.get::<Vec<u64>>(Tier::Result, "k").is_none(),
                 "bit flip at {i} must miss"
             );
         }
@@ -727,9 +655,9 @@ mod tests {
         assert_eq!(st.hits, 0);
 
         // A fresh publish heals the slot.
-        store.put(Tier::Trace, "k", &value);
+        store.put(Tier::Result, "k", &value);
         assert_eq!(
-            store.get::<Vec<u64>>(Tier::Trace, "k").expect("hit").0,
+            store.get::<Vec<u64>>(Tier::Result, "k").expect("hit").0,
             value
         );
     }
@@ -846,8 +774,8 @@ mod tests {
                 let value = value.clone();
                 scope.spawn(move || {
                     for _ in 0..20 {
-                        store.put(Tier::Warm, "contended", &value);
-                        if let Some((v, _)) = store.get::<Vec<u64>>(Tier::Warm, "contended") {
+                        store.put(Tier::Result, "contended", &value);
+                        if let Some((v, _)) = store.get::<Vec<u64>>(Tier::Result, "contended") {
                             assert_eq!(v, value, "reader saw a torn write");
                         }
                     }
@@ -856,7 +784,7 @@ mod tests {
         });
         assert_eq!(store.stats().corrupt, 0, "no torn entries under contention");
         // No stray .tmp files left behind.
-        let leftovers: Vec<_> = std::fs::read_dir(s.0.root().join(Tier::Warm.dir()))
+        let leftovers: Vec<_> = std::fs::read_dir(s.0.root().join(Tier::Result.dir()))
             .expect("dir")
             .flatten()
             .filter(|e| e.path().extension().is_some_and(|x| x != "bin"))

@@ -276,224 +276,9 @@ impl CoreConfig {
     }
 }
 
-mod codec_impls {
-    //! Binary codec for the on-disk experiment store: configurations are
-    //! part of warm-snapshot payloads and of content-addressed job keys,
-    //! so their wire form must be stable and exhaustive.
-
-    use super::{BranchMode, CoreConfig, RfpConfig, VpMode};
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for RfpConfig {
-        fn encode(&self, w: &mut ByteWriter) {
-            let RfpConfig {
-                table,
-                queue_entries,
-                use_context,
-                drop_on_tlb_miss,
-                continue_on_l1_miss,
-                vp_filter,
-                critical_only,
-                criticality_threshold,
-            } = self;
-            table.encode(w);
-            queue_entries.encode(w);
-            use_context.encode(w);
-            drop_on_tlb_miss.encode(w);
-            continue_on_l1_miss.encode(w);
-            vp_filter.encode(w);
-            critical_only.encode(w);
-            criticality_threshold.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(RfpConfig {
-                table: Codec::decode(r)?,
-                queue_entries: Codec::decode(r)?,
-                use_context: Codec::decode(r)?,
-                drop_on_tlb_miss: Codec::decode(r)?,
-                continue_on_l1_miss: Codec::decode(r)?,
-                vp_filter: Codec::decode(r)?,
-                critical_only: Codec::decode(r)?,
-                criticality_threshold: Codec::decode(r)?,
-            })
-        }
-    }
-
-    impl Codec for BranchMode {
-        fn encode(&self, w: &mut ByteWriter) {
-            w.put_u8(match self {
-                BranchMode::TraceOracle => 0,
-                BranchMode::Gshare => 1,
-            });
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            match r.get_u8()? {
-                0 => Ok(BranchMode::TraceOracle),
-                1 => Ok(BranchMode::Gshare),
-                _ => Err(CodecError::Invalid("branch mode tag")),
-            }
-        }
-    }
-
-    impl Codec for VpMode {
-        fn encode(&self, w: &mut ByteWriter) {
-            match self {
-                VpMode::Off => w.put_u8(0),
-                VpMode::Eves(v) => {
-                    w.put_u8(1);
-                    v.encode(w);
-                }
-                VpMode::Dlvp(d) => {
-                    w.put_u8(2);
-                    d.encode(w);
-                }
-                VpMode::Composite(v, d) => {
-                    w.put_u8(3);
-                    v.encode(w);
-                    d.encode(w);
-                }
-                VpMode::Epp(d) => {
-                    w.put_u8(4);
-                    d.encode(w);
-                }
-            }
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            match r.get_u8()? {
-                0 => Ok(VpMode::Off),
-                1 => Ok(VpMode::Eves(Codec::decode(r)?)),
-                2 => Ok(VpMode::Dlvp(Codec::decode(r)?)),
-                3 => Ok(VpMode::Composite(Codec::decode(r)?, Codec::decode(r)?)),
-                4 => Ok(VpMode::Epp(Codec::decode(r)?)),
-                _ => Err(CodecError::Invalid("vp mode tag")),
-            }
-        }
-    }
-
-    impl Codec for CoreConfig {
-        fn encode(&self, w: &mut ByteWriter) {
-            let CoreConfig {
-                width,
-                retire_width,
-                rob_entries,
-                rs_entries,
-                ldq_entries,
-                stq_entries,
-                alu_ports,
-                fp_ports,
-                load_agu_ports,
-                store_agu_ports,
-                sched_latency,
-                reissue_penalty,
-                mispredict_redirect,
-                fetch_to_alloc,
-                vp_flush_penalty,
-                ap_probe_overhead,
-                ap_probe_hold,
-                forward_latency,
-                mem,
-                ports,
-                l1_ip_prefetcher,
-                branch_mode,
-                rfp,
-                vp,
-                epp_false_positive_rate,
-                seed,
-            } = self;
-            width.encode(w);
-            retire_width.encode(w);
-            rob_entries.encode(w);
-            rs_entries.encode(w);
-            ldq_entries.encode(w);
-            stq_entries.encode(w);
-            alu_ports.encode(w);
-            fp_ports.encode(w);
-            load_agu_ports.encode(w);
-            store_agu_ports.encode(w);
-            sched_latency.encode(w);
-            reissue_penalty.encode(w);
-            mispredict_redirect.encode(w);
-            fetch_to_alloc.encode(w);
-            vp_flush_penalty.encode(w);
-            ap_probe_overhead.encode(w);
-            ap_probe_hold.encode(w);
-            forward_latency.encode(w);
-            mem.encode(w);
-            ports.encode(w);
-            l1_ip_prefetcher.encode(w);
-            branch_mode.encode(w);
-            rfp.encode(w);
-            vp.encode(w);
-            epp_false_positive_rate.encode(w);
-            seed.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let c = CoreConfig {
-                width: Codec::decode(r)?,
-                retire_width: Codec::decode(r)?,
-                rob_entries: Codec::decode(r)?,
-                rs_entries: Codec::decode(r)?,
-                ldq_entries: Codec::decode(r)?,
-                stq_entries: Codec::decode(r)?,
-                alu_ports: Codec::decode(r)?,
-                fp_ports: Codec::decode(r)?,
-                load_agu_ports: Codec::decode(r)?,
-                store_agu_ports: Codec::decode(r)?,
-                sched_latency: Codec::decode(r)?,
-                reissue_penalty: Codec::decode(r)?,
-                mispredict_redirect: Codec::decode(r)?,
-                fetch_to_alloc: Codec::decode(r)?,
-                vp_flush_penalty: Codec::decode(r)?,
-                ap_probe_overhead: Codec::decode(r)?,
-                ap_probe_hold: Codec::decode(r)?,
-                forward_latency: Codec::decode(r)?,
-                mem: Codec::decode(r)?,
-                ports: Codec::decode(r)?,
-                l1_ip_prefetcher: Codec::decode(r)?,
-                branch_mode: Codec::decode(r)?,
-                rfp: Codec::decode(r)?,
-                vp: Codec::decode(r)?,
-                epp_false_positive_rate: Codec::decode(r)?,
-                seed: Codec::decode(r)?,
-            };
-            if c.validate().is_err() {
-                return Err(CodecError::Invalid("core config"));
-            }
-            Ok(c)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_codec_round_trips_every_vp_mode() {
-        use rfp_types::codec::{decode_from_slice, encode_to_vec};
-        let mut c = CoreConfig::baseline_2x().with_rfp();
-        for vp in [
-            VpMode::Off,
-            VpMode::Eves(ValuePredictorConfig::default()),
-            VpMode::Dlvp(DlvpConfig::default()),
-            VpMode::Composite(ValuePredictorConfig::default(), DlvpConfig::default()),
-            VpMode::Epp(DlvpConfig::default()),
-        ] {
-            c.vp = vp;
-            let bytes = encode_to_vec(&c);
-            let back: CoreConfig = decode_from_slice(&bytes).unwrap();
-            assert_eq!(back, c);
-        }
-    }
-
-    #[test]
-    fn invalid_config_bytes_are_rejected() {
-        use rfp_types::codec::{decode_from_slice, encode_to_vec};
-        let mut c = CoreConfig::tiger_lake();
-        c.rs_entries = c.rob_entries + 1; // invalid: RS larger than ROB
-        let bytes = encode_to_vec(&c);
-        assert!(decode_from_slice::<CoreConfig>(&bytes).is_err());
-    }
 
     #[test]
     fn baselines_validate() {

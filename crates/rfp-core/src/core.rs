@@ -2262,275 +2262,6 @@ impl WarmState {
     }
 }
 
-impl WarmState {
-    /// Serializes the snapshot for the on-disk experiment store.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        rfp_types::codec::encode_to_vec(self)
-    }
-
-    /// Deserializes a snapshot previously produced by
-    /// [`WarmState::to_bytes`]. A resumed fork is byte-identical to a fork
-    /// of the original in-memory snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`rfp_types::codec::CodecError`] on truncated, corrupt,
-    /// or structurally inconsistent bytes — never panics.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, rfp_types::codec::CodecError> {
-        rfp_types::codec::decode_from_slice(bytes)
-    }
-}
-
-mod codec_impls {
-    //! Binary codec for warm-state persistence. The complete
-    //! microarchitectural state of a paused [`Core`] round-trips through
-    //! bytes so one warmup can be paid once *per store lifetime* rather
-    //! than once per process.
-
-    use super::{Core, EventKind, RfpPacket, WarmState};
-    use rand::rngs::SmallRng;
-    use rfp_obs::NoopProbe;
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for EventKind {
-        fn encode(&self, w: &mut ByteWriter) {
-            match self {
-                EventKind::Complete { seq, gen } => {
-                    w.put_u8(0);
-                    seq.encode(w);
-                    gen.encode(w);
-                }
-                EventKind::PredCorrect { preg, actual } => {
-                    w.put_u8(1);
-                    preg.encode(w);
-                    actual.encode(w);
-                }
-            }
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            match r.get_u8()? {
-                0 => Ok(EventKind::Complete {
-                    seq: Codec::decode(r)?,
-                    gen: Codec::decode(r)?,
-                }),
-                1 => Ok(EventKind::PredCorrect {
-                    preg: Codec::decode(r)?,
-                    actual: Codec::decode(r)?,
-                }),
-                _ => Err(CodecError::Invalid("event kind tag")),
-            }
-        }
-    }
-
-    impl Codec for RfpPacket {
-        fn encode(&self, w: &mut ByteWriter) {
-            let RfpPacket {
-                seq,
-                gen,
-                addr,
-                injected_at,
-            } = *self;
-            seq.encode(w);
-            gen.encode(w);
-            addr.encode(w);
-            injected_at.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(RfpPacket {
-                seq: Codec::decode(r)?,
-                gen: Codec::decode(r)?,
-                addr: Codec::decode(r)?,
-                injected_at: Codec::decode(r)?,
-            })
-        }
-    }
-
-    impl Codec for Core<NoopProbe> {
-        fn encode(&self, w: &mut ByteWriter) {
-            let Core {
-                cfg,
-                probe: NoopProbe,
-                cycle,
-                next_seq,
-                rob,
-                rob_base,
-                rename_map,
-                free_pregs,
-                preg_pred,
-                preg_actual,
-                mem,
-                ports,
-                pt,
-                ctx,
-                ipp,
-                gshare,
-                criticality,
-                hit_miss,
-                store_sets,
-                eves,
-                dlvp,
-                path,
-                fetch_stall_branch,
-                dispatch_blocked_until,
-                retire_blocked_until,
-                fetch_queue,
-                rfp_queue,
-                events,
-                l1_retry,
-                store_waiters,
-                // Cleared before every use; carry no cross-cycle state.
-                scratch_issue: _,
-                scratch_pregs: _,
-                scratch_lines: _,
-                ldq_used,
-                stq_used,
-                rs_used,
-                rng,
-                stats,
-                last_retire_cycle,
-                warmup_uops,
-                warmup_done,
-                cycle_offset,
-            } = self;
-            cfg.encode(w);
-            cycle.encode(w);
-            next_seq.encode(w);
-            rob.encode(w);
-            rob_base.encode(w);
-            rename_map.encode(w);
-            free_pregs.encode(w);
-            preg_pred.encode(w);
-            preg_actual.encode(w);
-            mem.encode(w);
-            ports.encode(w);
-            pt.encode(w);
-            ctx.encode(w);
-            ipp.encode(w);
-            gshare.encode(w);
-            criticality.encode(w);
-            hit_miss.encode(w);
-            store_sets.encode(w);
-            eves.encode(w);
-            dlvp.encode(w);
-            path.encode(w);
-            fetch_stall_branch.encode(w);
-            dispatch_blocked_until.encode(w);
-            retire_blocked_until.encode(w);
-            fetch_queue.encode(w);
-            rfp_queue.encode(w);
-            events.encode(w);
-            l1_retry.encode(w);
-            store_waiters.encode(w);
-            ldq_used.encode(w);
-            stq_used.encode(w);
-            rs_used.encode(w);
-            rng.state().encode(w);
-            stats.encode(w);
-            last_retire_cycle.encode(w);
-            warmup_uops.encode(w);
-            warmup_done.encode(w);
-            cycle_offset.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let core = Core {
-                cfg: Codec::decode(r)?,
-                probe: NoopProbe,
-                cycle: Codec::decode(r)?,
-                next_seq: Codec::decode(r)?,
-                rob: Codec::decode(r)?,
-                rob_base: Codec::decode(r)?,
-                rename_map: Codec::decode(r)?,
-                free_pregs: Codec::decode(r)?,
-                preg_pred: Codec::decode(r)?,
-                preg_actual: Codec::decode(r)?,
-                mem: Codec::decode(r)?,
-                ports: Codec::decode(r)?,
-                pt: Codec::decode(r)?,
-                ctx: Codec::decode(r)?,
-                ipp: Codec::decode(r)?,
-                gshare: Codec::decode(r)?,
-                criticality: Codec::decode(r)?,
-                hit_miss: Codec::decode(r)?,
-                store_sets: Codec::decode(r)?,
-                eves: Codec::decode(r)?,
-                dlvp: Codec::decode(r)?,
-                path: Codec::decode(r)?,
-                fetch_stall_branch: Codec::decode(r)?,
-                dispatch_blocked_until: Codec::decode(r)?,
-                retire_blocked_until: Codec::decode(r)?,
-                fetch_queue: Codec::decode(r)?,
-                rfp_queue: Codec::decode(r)?,
-                events: Codec::decode(r)?,
-                l1_retry: Codec::decode(r)?,
-                store_waiters: Codec::decode(r)?,
-                scratch_issue: Vec::new(),
-                scratch_pregs: Vec::new(),
-                scratch_lines: Vec::new(),
-                ldq_used: Codec::decode(r)?,
-                stq_used: Codec::decode(r)?,
-                rs_used: Codec::decode(r)?,
-                rng: SmallRng::from_state(Codec::decode(r)?),
-                stats: Codec::decode(r)?,
-                last_retire_cycle: Codec::decode(r)?,
-                warmup_uops: Codec::decode(r)?,
-                warmup_done: Codec::decode(r)?,
-                cycle_offset: Codec::decode(r)?,
-            };
-            let phys = core.cfg.phys_regs();
-            if core.preg_pred.len() != phys
-                || core.preg_actual.len() != phys
-                || core.rob.len() > core.cfg.rob_entries
-                || core.free_pregs.len() > phys
-                || core
-                    .rename_map
-                    .iter()
-                    .chain(core.free_pregs.iter())
-                    .any(|p| p.index() >= phys)
-            {
-                return Err(CodecError::Invalid("core register state"));
-            }
-            // The optional structures must agree with the configuration:
-            // the cycle loop branches on the config and unwraps the state.
-            let cfg = &core.cfg;
-            let rfp_on = cfg.rfp.is_some();
-            let ctx_on = cfg.rfp.as_ref().is_some_and(|r| r.use_context);
-            let crit_on = cfg.rfp.as_ref().is_some_and(|r| r.critical_only);
-            let gshare_on = matches!(cfg.branch_mode, crate::config::BranchMode::Gshare);
-            let (eves_on, dlvp_on) = match &cfg.vp {
-                crate::config::VpMode::Off => (false, false),
-                crate::config::VpMode::Eves(_) => (true, false),
-                crate::config::VpMode::Dlvp(_) | crate::config::VpMode::Epp(_) => (false, true),
-                crate::config::VpMode::Composite(..) => (true, true),
-            };
-            if core.pt.is_some() != rfp_on
-                || core.ctx.is_some() != ctx_on
-                || core.criticality.is_some() != crit_on
-                || core.ipp.is_some() != cfg.l1_ip_prefetcher
-                || core.gshare.is_some() != gshare_on
-                || core.eves.is_some() != eves_on
-                || core.dlvp.is_some() != dlvp_on
-            {
-                return Err(CodecError::Invalid("core predictor presence"));
-            }
-            Ok(core)
-        }
-    }
-
-    impl Codec for WarmState {
-        fn encode(&self, w: &mut ByteWriter) {
-            let WarmState { core, finished } = self;
-            core.encode(w);
-            finished.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(WarmState {
-                core: Codec::decode(r)?,
-                finished: Codec::decode(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2727,56 +2458,6 @@ mod tests {
             .transplant_window(&rfp, trace[warmup..].to_vec(), prefix)
             .unwrap();
         assert_eq!(stats.retired_uops, (trace.len() - warmup) as u64 - prefix);
-    }
-
-    #[test]
-    fn warm_snapshot_round_trips_through_bytes_bit_identically() {
-        // Serialize → deserialize → resume must be byte-identical to a
-        // fork of the in-memory snapshot, including under RFP and VP modes
-        // whose predictors carry live RNG streams.
-        let mut vp_cfg = CoreConfig::tiger_lake().with_rfp();
-        vp_cfg.vp = VpMode::Composite(
-            rfp_predictors::ValuePredictorConfig::default(),
-            rfp_predictors::DlvpConfig::default(),
-        );
-        for cfg in [
-            CoreConfig::tiger_lake(),
-            CoreConfig::tiger_lake().with_rfp(),
-            vp_cfg,
-        ] {
-            let trace = fork_trace(6_000);
-            let warm = Core::new(cfg).unwrap().warm_up(trace.clone(), 2_000);
-            let bytes = warm.to_bytes();
-            let revived = WarmState::from_bytes(&bytes).expect("decode");
-            assert_eq!(revived.consumed_uops(), warm.consumed_uops());
-            assert_eq!(revived.finished(), warm.finished());
-            // Re-encoding is byte-stable (canonical wire form).
-            assert_eq!(revived.to_bytes(), bytes);
-            let rest = trace[warm.consumed_uops() as usize..].to_vec();
-            assert_eq!(revived.resume(rest.clone()), warm.resume(rest));
-        }
-    }
-
-    #[test]
-    fn corrupt_warm_snapshot_bytes_never_panic() {
-        let trace = fork_trace(1_500);
-        let warm = Core::new(CoreConfig::tiger_lake().with_rfp())
-            .unwrap()
-            .warm_up(trace, 500);
-        let bytes = warm.to_bytes();
-        // Truncations at every power-of-two prefix and a few bit flips:
-        // all must come back as Err, none may panic.
-        let mut cut = 1;
-        while cut < bytes.len() {
-            assert!(WarmState::from_bytes(&bytes[..cut]).is_err());
-            cut *= 2;
-        }
-        for pos in [0, bytes.len() / 3, bytes.len() / 2, bytes.len() - 1] {
-            let mut bad = bytes.clone();
-            bad[pos] ^= 0x40;
-            // A flip may survive decode (counter bits), but must not panic.
-            let _ = WarmState::from_bytes(&bad);
-        }
     }
 
     #[test]

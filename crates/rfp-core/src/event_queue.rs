@@ -220,73 +220,6 @@ impl<T: Copy> CalendarQueue<T> {
     }
 }
 
-mod codec_impls {
-    //! Binary codec for warm-state persistence. The spill heap is
-    //! serialized in sorted order (its internal layout is not canonical);
-    //! rebuilding the heap from sorted entries is deterministic, so
-    //! encode-decode-encode is byte-stable.
-
-    use std::collections::BinaryHeap;
-
-    use super::{CalendarQueue, SpillEntry};
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl<T: Codec + Clone> Codec for CalendarQueue<T> {
-        fn encode(&self, w: &mut ByteWriter) {
-            let CalendarQueue {
-                buckets,
-                bucket_pos,
-                spill,
-                cursor,
-                order,
-                len,
-            } = self;
-            buckets.encode(w);
-            bucket_pos.encode(w);
-            let mut entries: Vec<(u64, u64, T)> = spill
-                .iter()
-                .map(|e| (e.at, e.order, e.item.clone()))
-                .collect();
-            entries.sort_by_key(|(at, order, _)| (*at, *order));
-            entries.encode(w);
-            cursor.encode(w);
-            order.encode(w);
-            len.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let buckets: Vec<Vec<T>> = Codec::decode(r)?;
-            if buckets.is_empty() {
-                return Err(CodecError::Invalid("calendar queue horizon"));
-            }
-            let bucket_pos: usize = Codec::decode(r)?;
-            let entries: Vec<(u64, u64, T)> = Codec::decode(r)?;
-            let spill: BinaryHeap<SpillEntry<T>> = entries
-                .into_iter()
-                .map(|(at, order, item)| SpillEntry { at, order, item })
-                .collect();
-            let cursor: u64 = Codec::decode(r)?;
-            let order: u64 = Codec::decode(r)?;
-            let len: usize = Codec::decode(r)?;
-            let q = CalendarQueue {
-                buckets,
-                bucket_pos,
-                spill,
-                cursor,
-                order,
-                len,
-            };
-            let current = q.bucket_index(q.cursor);
-            let in_buckets: usize = q.buckets.iter().map(Vec::len).sum();
-            if q.bucket_pos > q.buckets[current].len()
-                || in_buckets + q.spill.len() != q.len + q.bucket_pos
-            {
-                return Err(CodecError::Invalid("calendar queue accounting"));
-            }
-            Ok(q)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

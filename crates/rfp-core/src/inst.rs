@@ -208,193 +208,6 @@ impl DynInst {
     }
 }
 
-mod codec_impls {
-    //! Binary codec for warm-state persistence: the in-flight window
-    //! (every [`DynInst`] in the ROB) is part of a warm snapshot.
-
-    use super::{DlvpInfo, DynInst, Phase, RfpState, VpSource};
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for Phase {
-        fn encode(&self, w: &mut ByteWriter) {
-            w.put_u8(match self {
-                Phase::Waiting => 0,
-                Phase::MemWait => 1,
-                Phase::Done => 2,
-            });
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            match r.get_u8()? {
-                0 => Ok(Phase::Waiting),
-                1 => Ok(Phase::MemWait),
-                2 => Ok(Phase::Done),
-                _ => Err(CodecError::Invalid("phase tag")),
-            }
-        }
-    }
-
-    impl Codec for RfpState {
-        fn encode(&self, w: &mut ByteWriter) {
-            match self {
-                RfpState::None => w.put_u8(0),
-                RfpState::Queued { addr, denied } => {
-                    w.put_u8(1);
-                    addr.encode(w);
-                    denied.encode(w);
-                }
-                RfpState::InFlight {
-                    addr,
-                    lookup_start,
-                    complete,
-                    level,
-                    stale,
-                } => {
-                    w.put_u8(2);
-                    addr.encode(w);
-                    lookup_start.encode(w);
-                    complete.encode(w);
-                    level.encode(w);
-                    stale.encode(w);
-                }
-                RfpState::Consumed => w.put_u8(3),
-                RfpState::Dropped => w.put_u8(4),
-            }
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            match r.get_u8()? {
-                0 => Ok(RfpState::None),
-                1 => Ok(RfpState::Queued {
-                    addr: Codec::decode(r)?,
-                    denied: Codec::decode(r)?,
-                }),
-                2 => Ok(RfpState::InFlight {
-                    addr: Codec::decode(r)?,
-                    lookup_start: Codec::decode(r)?,
-                    complete: Codec::decode(r)?,
-                    level: Codec::decode(r)?,
-                    stale: Codec::decode(r)?,
-                }),
-                3 => Ok(RfpState::Consumed),
-                4 => Ok(RfpState::Dropped),
-                _ => Err(CodecError::Invalid("rfp state tag")),
-            }
-        }
-    }
-
-    impl Codec for VpSource {
-        fn encode(&self, w: &mut ByteWriter) {
-            w.put_u8(match self {
-                VpSource::Eves => 0,
-                VpSource::Dlvp => 1,
-            });
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            match r.get_u8()? {
-                0 => Ok(VpSource::Eves),
-                1 => Ok(VpSource::Dlvp),
-                _ => Err(CodecError::Invalid("vp source tag")),
-            }
-        }
-    }
-
-    impl Codec for DlvpInfo {
-        fn encode(&self, w: &mut ByteWriter) {
-            let DlvpInfo {
-                path,
-                predicted_addr,
-                probe_success,
-            } = self;
-            path.encode(w);
-            predicted_addr.encode(w);
-            probe_success.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(DlvpInfo {
-                path: Codec::decode(r)?,
-                predicted_addr: Codec::decode(r)?,
-                probe_success: Codec::decode(r)?,
-            })
-        }
-    }
-
-    impl Codec for DynInst {
-        fn encode(&self, w: &mut ByteWriter) {
-            let DynInst {
-                seq,
-                uop,
-                dst_phys,
-                prev_phys,
-                src_phys,
-                phase,
-                alloc_cycle,
-                not_before,
-                issue_cycle,
-                complete_cycle,
-                gen,
-                ready_at_alloc,
-                branch_mispredicted,
-                rfp,
-                predicted_value,
-                vp_source,
-                dlvp,
-                forwarded,
-                forward_from,
-                hit_level,
-                mem_executed,
-                rfp_fully_hid,
-            } = self;
-            seq.encode(w);
-            uop.encode(w);
-            dst_phys.encode(w);
-            prev_phys.encode(w);
-            src_phys.encode(w);
-            phase.encode(w);
-            alloc_cycle.encode(w);
-            not_before.encode(w);
-            issue_cycle.encode(w);
-            complete_cycle.encode(w);
-            gen.encode(w);
-            ready_at_alloc.encode(w);
-            branch_mispredicted.encode(w);
-            rfp.encode(w);
-            predicted_value.encode(w);
-            vp_source.encode(w);
-            dlvp.encode(w);
-            forwarded.encode(w);
-            forward_from.encode(w);
-            hit_level.encode(w);
-            mem_executed.encode(w);
-            rfp_fully_hid.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(DynInst {
-                seq: Codec::decode(r)?,
-                uop: Codec::decode(r)?,
-                dst_phys: Codec::decode(r)?,
-                prev_phys: Codec::decode(r)?,
-                src_phys: Codec::decode(r)?,
-                phase: Codec::decode(r)?,
-                alloc_cycle: Codec::decode(r)?,
-                not_before: Codec::decode(r)?,
-                issue_cycle: Codec::decode(r)?,
-                complete_cycle: Codec::decode(r)?,
-                gen: Codec::decode(r)?,
-                ready_at_alloc: Codec::decode(r)?,
-                branch_mispredicted: Codec::decode(r)?,
-                rfp: Codec::decode(r)?,
-                predicted_value: Codec::decode(r)?,
-                vp_source: Codec::decode(r)?,
-                dlvp: Codec::decode(r)?,
-                forwarded: Codec::decode(r)?,
-                forward_from: Codec::decode(r)?,
-                hit_level: Codec::decode(r)?,
-                mem_executed: Codec::decode(r)?,
-                rfp_fully_hid: Codec::decode(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

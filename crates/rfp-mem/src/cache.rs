@@ -191,85 +191,6 @@ impl Cache {
     }
 }
 
-mod codec_impls {
-    //! Binary codec for warm-state persistence. Exhaustive destructuring
-    //! makes new fields a compile error; decode re-validates geometry so
-    //! corrupt bytes surface as a miss, never a later panic.
-
-    use super::{Cache, CacheConfig, Way};
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for CacheConfig {
-        fn encode(&self, w: &mut ByteWriter) {
-            let CacheConfig {
-                size_bytes,
-                ways,
-                latency,
-            } = *self;
-            size_bytes.encode(w);
-            ways.encode(w);
-            latency.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(CacheConfig {
-                size_bytes: Codec::decode(r)?,
-                ways: Codec::decode(r)?,
-                latency: Codec::decode(r)?,
-            })
-        }
-    }
-
-    impl Codec for Way {
-        fn encode(&self, w: &mut ByteWriter) {
-            let Way { tag, valid, lru } = *self;
-            tag.encode(w);
-            valid.encode(w);
-            lru.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(Way {
-                tag: Codec::decode(r)?,
-                valid: Codec::decode(r)?,
-                lru: Codec::decode(r)?,
-            })
-        }
-    }
-
-    impl Codec for Cache {
-        fn encode(&self, w: &mut ByteWriter) {
-            let Cache {
-                config,
-                sets,
-                stamp,
-                hits,
-                misses,
-            } = self;
-            config.encode(w);
-            sets.encode(w);
-            stamp.encode(w);
-            hits.encode(w);
-            misses.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let config = CacheConfig::decode(r)?;
-            config
-                .validate("cache")
-                .map_err(|_| CodecError::Invalid("cache geometry"))?;
-            let sets: Vec<Vec<Way>> = Codec::decode(r)?;
-            if sets.len() != config.sets() || sets.iter().any(|s| s.len() != config.ways) {
-                return Err(CodecError::Invalid("cache set shape"));
-            }
-            Ok(Cache {
-                config,
-                sets,
-                stamp: Codec::decode(r)?,
-                hits: Codec::decode(r)?,
-                misses: Codec::decode(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -492,136 +492,6 @@ impl MemoryHierarchy {
     }
 }
 
-mod codec_impls {
-    //! Binary codec for warm-state persistence of the whole hierarchy.
-
-    use super::{HierarchyConfig, HitLevel, MemoryHierarchy, OracleMode};
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for HitLevel {
-        fn encode(&self, w: &mut ByteWriter) {
-            w.put_u8(self.index());
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let idx = r.get_u8()? as usize;
-            HitLevel::ALL
-                .get(idx)
-                .copied()
-                .ok_or(CodecError::Invalid("HitLevel tag"))
-        }
-    }
-
-    impl Codec for OracleMode {
-        fn encode(&self, w: &mut ByteWriter) {
-            w.put_u8(match self {
-                OracleMode::None => 0,
-                OracleMode::L1ToRf => 1,
-                OracleMode::L2ToL1 => 2,
-                OracleMode::LlcToL2 => 3,
-                OracleMode::MemToLlc => 4,
-            });
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(match r.get_u8()? {
-                0 => OracleMode::None,
-                1 => OracleMode::L1ToRf,
-                2 => OracleMode::L2ToL1,
-                3 => OracleMode::LlcToL2,
-                4 => OracleMode::MemToLlc,
-                _ => return Err(CodecError::Invalid("OracleMode tag")),
-            })
-        }
-    }
-
-    impl Codec for HierarchyConfig {
-        fn encode(&self, w: &mut ByteWriter) {
-            let HierarchyConfig {
-                l1,
-                l2,
-                llc,
-                dram_latency,
-                l1_mshrs,
-                l2_mshrs,
-                dtlb,
-                stlb,
-                walk_latency,
-                l2_prefetcher,
-                prefetch_degree,
-                oracle,
-            } = *self;
-            l1.encode(w);
-            l2.encode(w);
-            llc.encode(w);
-            dram_latency.encode(w);
-            l1_mshrs.encode(w);
-            l2_mshrs.encode(w);
-            dtlb.encode(w);
-            stlb.encode(w);
-            walk_latency.encode(w);
-            l2_prefetcher.encode(w);
-            prefetch_degree.encode(w);
-            oracle.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let cfg = HierarchyConfig {
-                l1: Codec::decode(r)?,
-                l2: Codec::decode(r)?,
-                llc: Codec::decode(r)?,
-                dram_latency: Codec::decode(r)?,
-                l1_mshrs: Codec::decode(r)?,
-                l2_mshrs: Codec::decode(r)?,
-                dtlb: Codec::decode(r)?,
-                stlb: Codec::decode(r)?,
-                walk_latency: Codec::decode(r)?,
-                l2_prefetcher: Codec::decode(r)?,
-                prefetch_degree: Codec::decode(r)?,
-                oracle: Codec::decode(r)?,
-            };
-            cfg.validate()
-                .map_err(|_| CodecError::Invalid("hierarchy config"))?;
-            Ok(cfg)
-        }
-    }
-
-    impl Codec for MemoryHierarchy {
-        fn encode(&self, w: &mut ByteWriter) {
-            let MemoryHierarchy {
-                config,
-                l1,
-                l2,
-                llc,
-                l1_mshr,
-                l2_mshr,
-                tlb,
-                prefetcher,
-                hit_counts,
-            } = self;
-            config.encode(w);
-            l1.encode(w);
-            l2.encode(w);
-            llc.encode(w);
-            l1_mshr.encode(w);
-            l2_mshr.encode(w);
-            tlb.encode(w);
-            prefetcher.encode(w);
-            hit_counts.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(MemoryHierarchy {
-                config: Codec::decode(r)?,
-                l1: Codec::decode(r)?,
-                l2: Codec::decode(r)?,
-                llc: Codec::decode(r)?,
-                l1_mshr: Codec::decode(r)?,
-                l2_mshr: Codec::decode(r)?,
-                tlb: Codec::decode(r)?,
-                prefetcher: Codec::decode(r)?,
-                hit_counts: Codec::decode(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,49 +647,6 @@ mod tests {
     fn hit_level_index_matches_all_order() {
         for (i, level) in HitLevel::ALL.iter().enumerate() {
             assert_eq!(level.index() as usize, i);
-        }
-    }
-
-    #[test]
-    fn codec_round_trip_resumes_bit_identically() {
-        let mut m = mem();
-        let mut t = 0;
-        for i in 0..512u64 {
-            // A mix of streams and strides to warm caches, TLBs, MSHRs
-            // and the prefetcher tracker.
-            let a = Addr::new(0x10_0000 + (i % 7) * 4096 + i * 72);
-            t = m.access(a, t, i % 3 == 0).complete_at + 1;
-        }
-        let bytes = rfp_types::codec::encode_to_vec(&m);
-        let mut back: MemoryHierarchy = rfp_types::codec::decode_from_slice(&bytes).unwrap();
-        assert_eq!(back.hit_counts(), m.hit_counts());
-        assert_eq!(back.tlb_counters(), m.tlb_counters());
-        // The decoded hierarchy must continue exactly like the original.
-        for i in 0..256u64 {
-            let a = Addr::new(0x10_0000 + (i % 11) * 640);
-            let ra = m.access(a, t + i * 3, false);
-            let rb = back.access(a, t + i * 3, false);
-            assert_eq!(ra, rb, "divergence at access {i}");
-        }
-        assert_eq!(back.hit_counts(), m.hit_counts());
-        // Re-encoding the continued twins stays identical too.
-        assert_eq!(
-            rfp_types::codec::encode_to_vec(&m),
-            rfp_types::codec::encode_to_vec(&back)
-        );
-    }
-
-    #[test]
-    fn codec_rejects_corrupt_geometry() {
-        let m = mem();
-        let bytes = rfp_types::codec::encode_to_vec(&m);
-        // Zero out the L1 way count (second field of the leading config).
-        let mut bad = bytes.clone();
-        bad[8..16].copy_from_slice(&0u64.to_le_bytes());
-        assert!(rfp_types::codec::decode_from_slice::<MemoryHierarchy>(&bad).is_err());
-        // Truncations at every eighth offset fail cleanly.
-        for cut in (0..bytes.len()).step_by(8) {
-            assert!(rfp_types::codec::decode_from_slice::<MemoryHierarchy>(&bytes[..cut]).is_err());
         }
     }
 

@@ -138,43 +138,6 @@ impl MshrFile {
     }
 }
 
-mod codec_impls {
-    //! Binary codec for warm-state persistence. The in-flight map is
-    //! encoded sorted by line number (see `rfp_types::codec`): every
-    //! consumer either looks entries up by key or reduces them
-    //! order-independently, so the rebuilt map behaves identically.
-
-    use super::MshrFile;
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for MshrFile {
-        fn encode(&self, w: &mut ByteWriter) {
-            let MshrFile {
-                capacity,
-                inflight,
-                merges,
-                delays,
-            } = self;
-            capacity.encode(w);
-            inflight.encode(w);
-            merges.encode(w);
-            delays.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let capacity: usize = Codec::decode(r)?;
-            if capacity == 0 {
-                return Err(CodecError::Invalid("MSHR capacity"));
-            }
-            Ok(MshrFile {
-                capacity,
-                inflight: Codec::decode(r)?,
-                merges: Codec::decode(r)?,
-                delays: Codec::decode(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -189,69 +189,6 @@ impl LoadPorts {
     }
 }
 
-mod codec_impls {
-    //! Binary codec for warm-state persistence.
-
-    use super::{LoadPorts, PortConfig};
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for PortConfig {
-        fn encode(&self, w: &mut ByteWriter) {
-            let PortConfig {
-                load_ports,
-                dedicated_rfp,
-            } = *self;
-            load_ports.encode(w);
-            dedicated_rfp.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(PortConfig {
-                load_ports: Codec::decode(r)?,
-                dedicated_rfp: Codec::decode(r)?,
-            })
-        }
-    }
-
-    impl Codec for LoadPorts {
-        fn encode(&self, w: &mut ByteWriter) {
-            let LoadPorts {
-                config,
-                cycle,
-                shared_used,
-                dedicated_used,
-                granted_demand,
-                granted_rfp,
-                granted_probe,
-                denied_rfp,
-            } = self;
-            config.encode(w);
-            cycle.encode(w);
-            shared_used.encode(w);
-            dedicated_used.encode(w);
-            granted_demand.encode(w);
-            granted_rfp.encode(w);
-            granted_probe.encode(w);
-            denied_rfp.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let config = PortConfig::decode(r)?;
-            config
-                .validate()
-                .map_err(|_| CodecError::Invalid("port config"))?;
-            Ok(LoadPorts {
-                config,
-                cycle: Codec::decode(r)?,
-                shared_used: Codec::decode(r)?,
-                dedicated_used: Codec::decode(r)?,
-                granted_demand: Codec::decode(r)?,
-                granted_rfp: Codec::decode(r)?,
-                granted_probe: Codec::decode(r)?,
-                denied_rfp: Codec::decode(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -125,67 +125,6 @@ impl StreamPrefetcher {
     }
 }
 
-mod codec_impls {
-    //! Binary codec for warm-state persistence.
-
-    use super::{PageEntry, StreamPrefetcher, TRACKER_CAPACITY};
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for PageEntry {
-        fn encode(&self, w: &mut ByteWriter) {
-            let PageEntry {
-                page,
-                last_line,
-                direction,
-                confident,
-                lru,
-            } = *self;
-            page.encode(w);
-            last_line.encode(w);
-            direction.encode(w);
-            confident.encode(w);
-            lru.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(PageEntry {
-                page: Codec::decode(r)?,
-                last_line: Codec::decode(r)?,
-                direction: Codec::decode(r)?,
-                confident: Codec::decode(r)?,
-                lru: Codec::decode(r)?,
-            })
-        }
-    }
-
-    impl Codec for StreamPrefetcher {
-        fn encode(&self, w: &mut ByteWriter) {
-            let StreamPrefetcher {
-                degree,
-                entries,
-                stamp,
-                issued,
-            } = self;
-            degree.encode(w);
-            entries.encode(w);
-            stamp.encode(w);
-            issued.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let degree: usize = Codec::decode(r)?;
-            let entries: Vec<PageEntry> = Codec::decode(r)?;
-            if entries.len() > TRACKER_CAPACITY {
-                return Err(CodecError::Invalid("prefetcher tracker size"));
-            }
-            Ok(StreamPrefetcher {
-                degree,
-                entries,
-                stamp: Codec::decode(r)?,
-                issued: Codec::decode(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

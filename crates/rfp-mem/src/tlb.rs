@@ -189,106 +189,6 @@ impl DataTlb {
     }
 }
 
-mod codec_impls {
-    //! Binary codec for warm-state persistence.
-
-    use super::{DataTlb, TlbConfig, TlbLevel, TlbWay};
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for TlbConfig {
-        fn encode(&self, w: &mut ByteWriter) {
-            let TlbConfig {
-                entries,
-                ways,
-                latency,
-            } = *self;
-            entries.encode(w);
-            ways.encode(w);
-            latency.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(TlbConfig {
-                entries: Codec::decode(r)?,
-                ways: Codec::decode(r)?,
-                latency: Codec::decode(r)?,
-            })
-        }
-    }
-
-    impl Codec for TlbWay {
-        fn encode(&self, w: &mut ByteWriter) {
-            let TlbWay { vpn, valid, lru } = *self;
-            vpn.encode(w);
-            valid.encode(w);
-            lru.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(TlbWay {
-                vpn: Codec::decode(r)?,
-                valid: Codec::decode(r)?,
-                lru: Codec::decode(r)?,
-            })
-        }
-    }
-
-    impl Codec for TlbLevel {
-        fn encode(&self, w: &mut ByteWriter) {
-            let TlbLevel {
-                config,
-                sets,
-                stamp,
-            } = self;
-            config.encode(w);
-            sets.encode(w);
-            stamp.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let config = TlbConfig::decode(r)?;
-            config
-                .validate("tlb")
-                .map_err(|_| CodecError::Invalid("tlb geometry"))?;
-            let sets: Vec<Vec<TlbWay>> = Codec::decode(r)?;
-            if sets.len() != config.sets() || sets.iter().any(|s| s.len() != config.ways) {
-                return Err(CodecError::Invalid("tlb set shape"));
-            }
-            Ok(TlbLevel {
-                config,
-                sets,
-                stamp: Codec::decode(r)?,
-            })
-        }
-    }
-
-    impl Codec for DataTlb {
-        fn encode(&self, w: &mut ByteWriter) {
-            let DataTlb {
-                dtlb,
-                stlb,
-                walk_latency,
-                dtlb_hits,
-                stlb_hits,
-                walks,
-            } = self;
-            dtlb.encode(w);
-            stlb.encode(w);
-            walk_latency.encode(w);
-            dtlb_hits.encode(w);
-            stlb_hits.encode(w);
-            walks.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(DataTlb {
-                dtlb: Codec::decode(r)?,
-                stlb: Codec::decode(r)?,
-                walk_latency: Codec::decode(r)?,
-                dtlb_hits: Codec::decode(r)?,
-                stlb_hits: Codec::decode(r)?,
-                walks: Codec::decode(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -99,40 +99,6 @@ impl Gshare {
     }
 }
 
-mod codec_impls {
-    //! Binary codec for warm-state persistence.
-
-    use super::{Gshare, TABLE_ENTRIES};
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for Gshare {
-        fn encode(&self, w: &mut ByteWriter) {
-            let Gshare {
-                counters,
-                history,
-                predictions,
-                mispredictions,
-            } = self;
-            counters.encode(w);
-            history.encode(w);
-            predictions.encode(w);
-            mispredictions.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let counters: Vec<u8> = Codec::decode(r)?;
-            if counters.len() != TABLE_ENTRIES || counters.iter().any(|&c| c > 3) {
-                return Err(CodecError::Invalid("gshare table"));
-            }
-            Ok(Gshare {
-                counters,
-                history: Codec::decode(r)?,
-                predictions: Codec::decode(r)?,
-                mispredictions: Codec::decode(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -194,86 +194,6 @@ impl ContextPrefetcher {
     }
 }
 
-mod codec_impls {
-    //! Binary codec for warm-state persistence.
-
-    use super::{ContextEntry, ContextPrefetcher, DeltaPair, TABLE_ENTRIES};
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for DeltaPair {
-        fn encode(&self, w: &mut ByteWriter) {
-            let DeltaPair {
-                prev,
-                next,
-                confidence,
-                valid,
-            } = *self;
-            prev.encode(w);
-            next.encode(w);
-            confidence.encode(w);
-            valid.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(DeltaPair {
-                prev: Codec::decode(r)?,
-                next: Codec::decode(r)?,
-                confidence: Codec::decode(r)?,
-                valid: Codec::decode(r)?,
-            })
-        }
-    }
-
-    impl Codec for ContextEntry {
-        fn encode(&self, w: &mut ByteWriter) {
-            let ContextEntry {
-                tag,
-                valid,
-                last_addr,
-                last_delta,
-                inflight,
-                pairs,
-            } = self;
-            tag.encode(w);
-            valid.encode(w);
-            last_addr.encode(w);
-            last_delta.encode(w);
-            inflight.encode(w);
-            pairs.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(ContextEntry {
-                tag: Codec::decode(r)?,
-                valid: Codec::decode(r)?,
-                last_addr: Codec::decode(r)?,
-                last_delta: Codec::decode(r)?,
-                inflight: Codec::decode(r)?,
-                pairs: Codec::decode(r)?,
-            })
-        }
-    }
-
-    impl Codec for ContextPrefetcher {
-        fn encode(&self, w: &mut ByteWriter) {
-            let ContextPrefetcher {
-                entries,
-                predictions,
-            } = self;
-            entries.encode(w);
-            predictions.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let entries: Vec<ContextEntry> = Codec::decode(r)?;
-            if entries.len() != TABLE_ENTRIES {
-                return Err(CodecError::Invalid("context table size"));
-            }
-            Ok(ContextPrefetcher {
-                entries,
-                predictions: Codec::decode(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

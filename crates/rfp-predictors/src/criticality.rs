@@ -84,37 +84,6 @@ impl CriticalityTable {
     }
 }
 
-mod codec_impls {
-    //! Binary codec for warm-state persistence.
-
-    use super::{CriticalityTable, MAX, TABLE_ENTRIES};
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for CriticalityTable {
-        fn encode(&self, w: &mut ByteWriter) {
-            let CriticalityTable {
-                counters,
-                threshold,
-                events,
-            } = self;
-            counters.encode(w);
-            threshold.encode(w);
-            events.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let counters: Vec<u8> = Codec::decode(r)?;
-            if counters.len() != TABLE_ENTRIES || counters.iter().any(|&c| c > MAX) {
-                return Err(CodecError::Invalid("criticality table"));
-            }
-            Ok(CriticalityTable {
-                counters,
-                threshold: Codec::decode(r)?,
-                events: Codec::decode(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -254,122 +254,6 @@ impl Dlvp {
     }
 }
 
-mod codec_impls {
-    //! Binary codec for warm-state persistence. The RNG is checkpointed
-    //! bit-exactly via the xoshiro256++ state words so probabilistic
-    //! confidence draws resume on the same sequence.
-
-    use super::{Dlvp, DlvpConfig, DlvpEntry, PathHistory};
-    use rand::rngs::SmallRng;
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for DlvpConfig {
-        fn encode(&self, w: &mut ByteWriter) {
-            let DlvpConfig {
-                entries,
-                confidence_max,
-                increment_prob,
-                path_length,
-                fwd_threshold,
-                seed,
-            } = *self;
-            entries.encode(w);
-            confidence_max.encode(w);
-            increment_prob.encode(w);
-            path_length.encode(w);
-            fwd_threshold.encode(w);
-            seed.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let config = DlvpConfig {
-                entries: Codec::decode(r)?,
-                confidence_max: Codec::decode(r)?,
-                increment_prob: Codec::decode(r)?,
-                path_length: Codec::decode(r)?,
-                fwd_threshold: Codec::decode(r)?,
-                seed: Codec::decode(r)?,
-            };
-            config
-                .validate()
-                .map_err(|_| CodecError::Invalid("dlvp config"))?;
-            Ok(config)
-        }
-    }
-
-    impl Codec for PathHistory {
-        fn encode(&self, w: &mut ByteWriter) {
-            self.0.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(PathHistory(Codec::decode(r)?))
-        }
-    }
-
-    impl Codec for DlvpEntry {
-        fn encode(&self, w: &mut ByteWriter) {
-            let DlvpEntry {
-                valid,
-                tag,
-                last_addr,
-                stride,
-                confidence,
-                inflight,
-            } = *self;
-            valid.encode(w);
-            tag.encode(w);
-            last_addr.encode(w);
-            stride.encode(w);
-            confidence.encode(w);
-            inflight.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(DlvpEntry {
-                valid: Codec::decode(r)?,
-                tag: Codec::decode(r)?,
-                last_addr: Codec::decode(r)?,
-                stride: Codec::decode(r)?,
-                confidence: Codec::decode(r)?,
-                inflight: Codec::decode(r)?,
-            })
-        }
-    }
-
-    impl Codec for Dlvp {
-        fn encode(&self, w: &mut ByteWriter) {
-            let Dlvp {
-                config,
-                entries,
-                fwd_counters,
-                rng,
-                predictions,
-                mispredictions,
-            } = self;
-            config.encode(w);
-            entries.encode(w);
-            fwd_counters.encode(w);
-            rng.state().encode(w);
-            predictions.encode(w);
-            mispredictions.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let config = DlvpConfig::decode(r)?;
-            let entries: Vec<DlvpEntry> = Codec::decode(r)?;
-            let fwd_counters: Vec<u8> = Codec::decode(r)?;
-            if entries.len() != config.entries || fwd_counters.len() != 2048 {
-                return Err(CodecError::Invalid("dlvp table size"));
-            }
-            Ok(Dlvp {
-                config,
-                entries,
-                fwd_counters,
-                rng: SmallRng::from_state(Codec::decode(r)?),
-                predictions: Codec::decode(r)?,
-                mispredictions: Codec::decode(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

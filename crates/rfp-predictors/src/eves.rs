@@ -205,101 +205,6 @@ impl ValuePredictor {
     }
 }
 
-mod codec_impls {
-    //! Binary codec for warm-state persistence (RNG checkpointed exactly).
-
-    use super::{ValuePredictor, ValuePredictorConfig, VpEntry};
-    use rand::rngs::SmallRng;
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for ValuePredictorConfig {
-        fn encode(&self, w: &mut ByteWriter) {
-            let ValuePredictorConfig {
-                entries,
-                confidence_max,
-                increment_prob,
-                seed,
-            } = *self;
-            entries.encode(w);
-            confidence_max.encode(w);
-            increment_prob.encode(w);
-            seed.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let config = ValuePredictorConfig {
-                entries: Codec::decode(r)?,
-                confidence_max: Codec::decode(r)?,
-                increment_prob: Codec::decode(r)?,
-                seed: Codec::decode(r)?,
-            };
-            config
-                .validate()
-                .map_err(|_| CodecError::Invalid("vp config"))?;
-            Ok(config)
-        }
-    }
-
-    impl Codec for VpEntry {
-        fn encode(&self, w: &mut ByteWriter) {
-            let VpEntry {
-                valid,
-                tag,
-                last_value,
-                stride,
-                confidence,
-                inflight,
-            } = *self;
-            valid.encode(w);
-            tag.encode(w);
-            last_value.encode(w);
-            stride.encode(w);
-            confidence.encode(w);
-            inflight.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(VpEntry {
-                valid: Codec::decode(r)?,
-                tag: Codec::decode(r)?,
-                last_value: Codec::decode(r)?,
-                stride: Codec::decode(r)?,
-                confidence: Codec::decode(r)?,
-                inflight: Codec::decode(r)?,
-            })
-        }
-    }
-
-    impl Codec for ValuePredictor {
-        fn encode(&self, w: &mut ByteWriter) {
-            let ValuePredictor {
-                config,
-                entries,
-                rng,
-                predictions,
-                mispredictions,
-            } = self;
-            config.encode(w);
-            entries.encode(w);
-            rng.state().encode(w);
-            predictions.encode(w);
-            mispredictions.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let config = ValuePredictorConfig::decode(r)?;
-            let entries: Vec<VpEntry> = Codec::decode(r)?;
-            if entries.len() != config.entries {
-                return Err(CodecError::Invalid("vp table size"));
-            }
-            Ok(ValuePredictor {
-                config,
-                entries,
-                rng: SmallRng::from_state(Codec::decode(r)?),
-                predictions: Codec::decode(r)?,
-                mispredictions: Codec::decode(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

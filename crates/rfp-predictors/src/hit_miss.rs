@@ -87,37 +87,6 @@ impl HitMissPredictor {
     }
 }
 
-mod codec_impls {
-    //! Binary codec for warm-state persistence.
-
-    use super::{HitMissPredictor, MAX, TABLE_ENTRIES};
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for HitMissPredictor {
-        fn encode(&self, w: &mut ByteWriter) {
-            let HitMissPredictor {
-                counters,
-                predictions,
-                mispredictions,
-            } = self;
-            counters.encode(w);
-            predictions.encode(w);
-            mispredictions.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let counters: Vec<u8> = Codec::decode(r)?;
-            if counters.len() != TABLE_ENTRIES || counters.iter().any(|&c| c > MAX) {
-                return Err(CodecError::Invalid("hit/miss table"));
-            }
-            Ok(HitMissPredictor {
-                counters,
-                predictions: Codec::decode(r)?,
-                mispredictions: Codec::decode(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

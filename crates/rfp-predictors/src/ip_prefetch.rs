@@ -111,57 +111,6 @@ impl IpStridePrefetcher {
     }
 }
 
-mod codec_impls {
-    //! Binary codec for warm-state persistence.
-
-    use super::{IpEntry, IpStridePrefetcher, TABLE_ENTRIES};
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for IpEntry {
-        fn encode(&self, w: &mut ByteWriter) {
-            let IpEntry {
-                tag,
-                valid,
-                last_addr,
-                stride,
-                confidence,
-            } = *self;
-            tag.encode(w);
-            valid.encode(w);
-            last_addr.encode(w);
-            stride.encode(w);
-            confidence.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(IpEntry {
-                tag: Codec::decode(r)?,
-                valid: Codec::decode(r)?,
-                last_addr: Codec::decode(r)?,
-                stride: Codec::decode(r)?,
-                confidence: Codec::decode(r)?,
-            })
-        }
-    }
-
-    impl Codec for IpStridePrefetcher {
-        fn encode(&self, w: &mut ByteWriter) {
-            let IpStridePrefetcher { entries, issued } = self;
-            entries.encode(w);
-            issued.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let entries: Vec<IpEntry> = Codec::decode(r)?;
-            if entries.len() != TABLE_ENTRIES {
-                return Err(CodecError::Invalid("ip prefetcher table size"));
-            }
-            Ok(IpStridePrefetcher {
-                entries,
-                issued: Codec::decode(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

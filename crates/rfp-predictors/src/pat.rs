@@ -154,67 +154,6 @@ impl PageAddrTable {
     }
 }
 
-mod codec_impls {
-    //! Binary codec for warm-state persistence. [`PatPointer`] reuses its
-    //! 6-bit hardware storage form as the wire form.
-
-    use super::{PageAddrTable, PatPointer, PatWay};
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for PatPointer {
-        fn encode(&self, w: &mut ByteWriter) {
-            w.put_u8((*self).encode());
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let raw = r.get_u8()?;
-            if raw >= 64 {
-                return Err(CodecError::Invalid("pat pointer"));
-            }
-            Ok(PatPointer::decode(raw))
-        }
-    }
-
-    impl Codec for PatWay {
-        fn encode(&self, w: &mut ByteWriter) {
-            let PatWay {
-                page_frame,
-                valid,
-                lru,
-            } = *self;
-            page_frame.encode(w);
-            valid.encode(w);
-            lru.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(PatWay {
-                page_frame: Codec::decode(r)?,
-                valid: Codec::decode(r)?,
-                lru: Codec::decode(r)?,
-            })
-        }
-    }
-
-    impl Codec for PageAddrTable {
-        fn encode(&self, w: &mut ByteWriter) {
-            let PageAddrTable {
-                sets,
-                stamp,
-                evictions,
-            } = self;
-            sets.encode(w);
-            stamp.encode(w);
-            evictions.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(PageAddrTable {
-                sets: Codec::decode(r)?,
-                stamp: Codec::decode(r)?,
-                evictions: Codec::decode(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

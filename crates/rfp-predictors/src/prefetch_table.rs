@@ -475,134 +475,6 @@ impl PrefetchTable {
     }
 }
 
-mod codec_impls {
-    //! Binary codec for warm-state persistence. The probabilistic
-    //! confidence RNG is checkpointed bit-exactly (xoshiro256++ state).
-
-    use super::{PrefetchTable, PrefetchTableConfig, PtEntry};
-    use rand::rngs::SmallRng;
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for PrefetchTableConfig {
-        fn encode(&self, w: &mut ByteWriter) {
-            let PrefetchTableConfig {
-                entries,
-                ways,
-                confidence_bits,
-                confidence_increment_prob,
-                use_pat,
-                stride_bits,
-                seed,
-            } = *self;
-            entries.encode(w);
-            ways.encode(w);
-            confidence_bits.encode(w);
-            confidence_increment_prob.encode(w);
-            use_pat.encode(w);
-            stride_bits.encode(w);
-            seed.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let config = PrefetchTableConfig {
-                entries: Codec::decode(r)?,
-                ways: Codec::decode(r)?,
-                confidence_bits: Codec::decode(r)?,
-                confidence_increment_prob: Codec::decode(r)?,
-                use_pat: Codec::decode(r)?,
-                stride_bits: Codec::decode(r)?,
-                seed: Codec::decode(r)?,
-            };
-            config
-                .validate()
-                .map_err(|_| CodecError::Invalid("prefetch table config"))?;
-            Ok(config)
-        }
-    }
-
-    impl Codec for PtEntry {
-        fn encode(&self, w: &mut ByteWriter) {
-            let PtEntry {
-                valid,
-                tag,
-                confidence,
-                utility,
-                stride,
-                inflight,
-                has_addr,
-                last_addr,
-                pat_ptr,
-                page_offset,
-                lru,
-            } = *self;
-            valid.encode(w);
-            tag.encode(w);
-            confidence.encode(w);
-            utility.encode(w);
-            stride.encode(w);
-            inflight.encode(w);
-            has_addr.encode(w);
-            last_addr.encode(w);
-            pat_ptr.encode(w);
-            page_offset.encode(w);
-            lru.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(PtEntry {
-                valid: Codec::decode(r)?,
-                tag: Codec::decode(r)?,
-                confidence: Codec::decode(r)?,
-                utility: Codec::decode(r)?,
-                stride: Codec::decode(r)?,
-                inflight: Codec::decode(r)?,
-                has_addr: Codec::decode(r)?,
-                last_addr: Codec::decode(r)?,
-                pat_ptr: Codec::decode(r)?,
-                page_offset: Codec::decode(r)?,
-                lru: Codec::decode(r)?,
-            })
-        }
-    }
-
-    impl Codec for PrefetchTable {
-        fn encode(&self, w: &mut ByteWriter) {
-            let PrefetchTable {
-                config,
-                sets,
-                pat,
-                rng,
-                stamp,
-                predictions,
-                trainings,
-            } = self;
-            config.encode(w);
-            sets.encode(w);
-            pat.encode(w);
-            rng.state().encode(w);
-            stamp.encode(w);
-            predictions.encode(w);
-            trainings.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let config = PrefetchTableConfig::decode(r)?;
-            let sets: Vec<Vec<PtEntry>> = Codec::decode(r)?;
-            if sets.len() != config.entries / config.ways
-                || sets.iter().any(|s| s.len() != config.ways)
-            {
-                return Err(CodecError::Invalid("prefetch table shape"));
-            }
-            Ok(PrefetchTable {
-                config,
-                sets,
-                pat: Codec::decode(r)?,
-                rng: SmallRng::from_state(Codec::decode(r)?),
-                stamp: Codec::decode(r)?,
-                predictions: Codec::decode(r)?,
-                trainings: Codec::decode(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -762,29 +634,6 @@ mod tests {
         if pt.on_allocate(pc) == PtDecision::NoPrefetch {
             assert_eq!(pt.miss_kind(pc), PtMissKind::NoAddress);
         }
-    }
-
-    #[test]
-    fn codec_round_trip_resumes_bit_identically() {
-        use rfp_types::codec::{decode_from_slice, encode_to_vec};
-        // Default config: probabilistic confidence, PAT enabled — the
-        // round-trip must preserve the RNG stream and PAT pointers so a
-        // resumed twin matches the original decision-for-decision.
-        let mut pt = PrefetchTable::new(PrefetchTableConfig::default()).unwrap();
-        for i in 0..400u64 {
-            let pc = Pc::new(0x400000 + (i % 7) * 4);
-            pt.on_allocate(pc);
-            pt.on_retire(pc, Addr::new(0x10000 + i * 8));
-        }
-        let bytes = encode_to_vec(&pt);
-        let mut twin: PrefetchTable = decode_from_slice(&bytes).unwrap();
-        for i in 400..800u64 {
-            let pc = Pc::new(0x400000 + (i % 7) * 4);
-            assert_eq!(pt.on_allocate(pc), twin.on_allocate(pc));
-            pt.on_retire(pc, Addr::new(0x10000 + i * 8));
-            twin.on_retire(pc, Addr::new(0x10000 + i * 8));
-        }
-        assert_eq!(encode_to_vec(&pt), encode_to_vec(&twin));
     }
 
     #[test]

@@ -122,50 +122,6 @@ impl StoreSets {
     }
 }
 
-mod codec_impls {
-    //! Binary codec for warm-state persistence.
-
-    use super::{StoreSets, LFST_ENTRIES, SSIT_ENTRIES};
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for StoreSets {
-        fn encode(&self, w: &mut ByteWriter) {
-            let StoreSets {
-                ssit,
-                lfst,
-                next_set,
-                violations,
-            } = self;
-            ssit.encode(w);
-            lfst.encode(w);
-            next_set.encode(w);
-            violations.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let ssit: Vec<u16> = Codec::decode(r)?;
-            let lfst: Vec<Option<rfp_types::SeqNum>> = Codec::decode(r)?;
-            if ssit.len() != SSIT_ENTRIES
-                || lfst.len() != LFST_ENTRIES
-                || ssit
-                    .iter()
-                    .any(|&s| s != u16::MAX && s as usize >= LFST_ENTRIES)
-            {
-                return Err(CodecError::Invalid("store sets shape"));
-            }
-            let next_set: u16 = Codec::decode(r)?;
-            if next_set as usize >= LFST_ENTRIES {
-                return Err(CodecError::Invalid("store sets next_set"));
-            }
-            Ok(StoreSets {
-                ssit,
-                lfst,
-                next_set,
-                violations: Codec::decode(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -954,14 +954,10 @@ pub fn pct(x: f64) -> String {
 /// Schema version of the [`EngineMetrics`] JSON document. Bump whenever
 /// a field is added, removed or reinterpreted so downstream consumers
 /// (the report dashboard, the future experiment service) can dispatch.
-pub const ENGINE_METRICS_SCHEMA_VERSION: u32 = 1;
-
-/// Number of store tiers an [`EngineMetrics`] tracks per-tier counters
-/// for (result / warm / trace, matching `rfp-bench`'s `Tier::ALL`).
-pub const ENGINE_STORE_TIERS: usize = 3;
-
-/// Tier labels for the per-tier arrays, in index order.
-pub const ENGINE_STORE_TIER_LABELS: [&str; ENGINE_STORE_TIERS] = ["result", "warm", "trace"];
+///
+/// Version 2 dropped the per-tier store arrays: the store caches job
+/// results only, so its counters are plain scalars.
+pub const ENGINE_METRICS_SCHEMA_VERSION: u32 = 2;
 
 /// Host-side timing section of an [`EngineMetrics`]: everything here is
 /// schedule- and machine-dependent (worker counts, steal counts, wall
@@ -998,7 +994,7 @@ impl EngineTiming {
 
 /// Versioned summary of the *experiment engine's* own behaviour over one
 /// or more grid runs: job counts per warm-path arm, warm-pool and
-/// persistent-store hit rates (per store tier), and the queue-occupancy
+/// persistent result-store hit rates, and the queue-occupancy
 /// distribution at claim time.
 ///
 /// Everything outside [`EngineMetrics::timing`] is a deterministic
@@ -1016,23 +1012,21 @@ pub struct EngineMetrics {
     pub jobs_by_warm: std::collections::BTreeMap<String, u64>,
     /// Warm-pool snapshot forks served from an already-built snapshot.
     pub snapshot_hits: u64,
-    /// Warm-pool snapshot cells built (or loaded from the store).
+    /// Warm-pool snapshot cells built.
     pub snapshot_misses: u64,
     /// Checkpoint-mode twin transplants performed.
     pub transplants: u64,
-    /// Compiled-trace arenas built from scratch (store loads excluded).
+    /// Compiled-trace arenas built.
     pub trace_builds: u64,
-    /// Persistent-store lookups served from disk, per tier
-    /// ([`ENGINE_STORE_TIER_LABELS`] order).
-    pub store_hits: [u64; ENGINE_STORE_TIERS],
-    /// Persistent-store lookups that missed, per tier.
-    pub store_misses: [u64; ENGINE_STORE_TIERS],
-    /// Entry bytes read by store hits, per tier.
-    pub store_bytes_read: [u64; ENGINE_STORE_TIERS],
-    /// Entry bytes published by store writes, per tier.
-    pub store_bytes_written: [u64; ENGINE_STORE_TIERS],
-    /// Store misses where a file existed but failed verification
-    /// (all tiers; the store only counts this globally).
+    /// Result-store lookups served from disk.
+    pub store_hits: u64,
+    /// Result-store lookups that missed.
+    pub store_misses: u64,
+    /// Entry bytes read by result-store hits.
+    pub store_bytes_read: u64,
+    /// Entry bytes published by result-store writes.
+    pub store_bytes_written: u64,
+    /// Store misses where a file existed but failed verification.
     pub store_corrupt: u64,
     /// Unclaimed-queue depth observed at each job claim.
     pub queue_depth: Log2Histogram,
@@ -1060,12 +1054,10 @@ impl EngineMetrics {
         self.snapshot_misses += other.snapshot_misses;
         self.transplants += other.transplants;
         self.trace_builds += other.trace_builds;
-        for i in 0..ENGINE_STORE_TIERS {
-            self.store_hits[i] += other.store_hits[i];
-            self.store_misses[i] += other.store_misses[i];
-            self.store_bytes_read[i] += other.store_bytes_read[i];
-            self.store_bytes_written[i] += other.store_bytes_written[i];
-        }
+        self.store_hits += other.store_hits;
+        self.store_misses += other.store_misses;
+        self.store_bytes_read += other.store_bytes_read;
+        self.store_bytes_written += other.store_bytes_written;
         self.store_corrupt += other.store_corrupt;
         self.queue_depth.merge(&other.queue_depth);
         self.timing.merge(&other.timing);
@@ -1080,30 +1072,13 @@ impl EngineMetrics {
             .iter()
             .map(|(k, v)| format!("\"{k}\":{v}"))
             .collect();
-        let tiers: Vec<String> = ENGINE_STORE_TIER_LABELS
-            .iter()
-            .enumerate()
-            .map(|(i, label)| {
-                format!(
-                    "\"{label}\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{:.6},\
-                     \"bytes_read\":{},\"bytes_written\":{}}}",
-                    self.store_hits[i],
-                    self.store_misses[i],
-                    ratio(
-                        self.store_hits[i],
-                        self.store_hits[i] + self.store_misses[i]
-                    ),
-                    self.store_bytes_read[i],
-                    self.store_bytes_written[i],
-                )
-            })
-            .collect();
         format!(
             "{{\"schema\":{ENGINE_METRICS_SCHEMA_VERSION},\"jobs\":{},\
              \"jobs_by_warm\":{{{}}},\
              \"warm_pool\":{{\"snapshot_hits\":{},\"snapshot_misses\":{},\
              \"snapshot_hit_rate\":{:.6},\"transplants\":{},\"trace_builds\":{}}},\
-             \"store\":{{{},\"corrupt\":{}}},\
+             \"store\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{:.6},\
+             \"bytes_read\":{},\"bytes_written\":{},\"corrupt\":{}}},\
              \"queue_depth\":{},\"timing\":{}}}",
             self.jobs,
             warm.join(","),
@@ -1115,7 +1090,11 @@ impl EngineMetrics {
             ),
             self.transplants,
             self.trace_builds,
-            tiers.join(","),
+            self.store_hits,
+            self.store_misses,
+            ratio(self.store_hits, self.store_hits + self.store_misses),
+            self.store_bytes_read,
+            self.store_bytes_written,
             self.store_corrupt,
             self.queue_depth.to_json(),
             self.timing.to_json(),
@@ -1579,10 +1558,10 @@ mod engine_metrics_tests {
         m.snapshot_misses = 2;
         m.transplants = 1;
         m.trace_builds = 2;
-        m.store_hits = [3, 1, 0];
-        m.store_misses = [1, 1, 2];
-        m.store_bytes_read = [900, 40, 0];
-        m.store_bytes_written = [300, 80, 60];
+        m.store_hits = 3;
+        m.store_misses = 1;
+        m.store_bytes_read = 900;
+        m.store_bytes_written = 300;
         m.store_corrupt = 1;
         m.timing = EngineTiming {
             workers: 4,
@@ -1618,9 +1597,10 @@ mod engine_metrics_tests {
         // BTreeMap keeps the warm arms sorted, so the document is stable.
         assert!(j.contains("\"jobs_by_warm\":{\"fork\":2,\"transplant\":1}"));
         assert!(j.contains("\"snapshot_hit_rate\":0.714286"));
-        assert!(j.contains("\"result\":{\"hits\":3,\"misses\":1,\"hit_rate\":0.750000"));
-        assert!(j.contains("\"trace\":{\"hits\":0,\"misses\":2,\"hit_rate\":0.000000"));
-        assert!(j.contains("\"corrupt\":1"));
+        assert!(j.contains(
+            "\"store\":{\"hits\":3,\"misses\":1,\"hit_rate\":0.750000,\
+             \"bytes_read\":900,\"bytes_written\":300,\"corrupt\":1}"
+        ));
         // Host-dependent values appear only inside the timing sub-object.
         assert!(j.contains("\"timing\":{\"workers\":4,\"steals\":9,\"wall_nanos\":1000}"));
         assert!(j.ends_with("}"));

@@ -612,64 +612,6 @@ fn block_map(program: &Program) -> (Vec<usize>, usize) {
     (block_of, block + 1)
 }
 
-mod codec_impls {
-    //! Binary codec for persisting compiled trace arenas in the on-disk
-    //! experiment store.
-
-    use super::{CompiledTrace, IntervalSig};
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
-    impl Codec for IntervalSig {
-        fn encode(&self, w: &mut ByteWriter) {
-            let IntervalSig {
-                start,
-                bbv,
-                mem,
-                fingerprint,
-            } = self;
-            start.encode(w);
-            bbv.encode(w);
-            mem.encode(w);
-            fingerprint.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(IntervalSig {
-                start: Codec::decode(r)?,
-                bbv: Codec::decode(r)?,
-                mem: Codec::decode(r)?,
-                fingerprint: Codec::decode(r)?,
-            })
-        }
-    }
-
-    impl Codec for CompiledTrace {
-        fn encode(&self, w: &mut ByteWriter) {
-            let CompiledTrace {
-                ops,
-                measured_from,
-                interval_len,
-                intervals,
-            } = self;
-            ops.encode(w);
-            measured_from.encode(w);
-            interval_len.encode(w);
-            intervals.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let ct = CompiledTrace {
-                ops: Codec::decode(r)?,
-                measured_from: Codec::decode(r)?,
-                interval_len: Codec::decode(r)?,
-                intervals: Codec::decode(r)?,
-            };
-            if ct.measured_from > ct.ops.len() as u64 || ct.interval_len == 0 {
-                return Err(CodecError::Invalid("CompiledTrace geometry"));
-            }
-            Ok(ct)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -779,19 +721,6 @@ mod tests {
             sigs[0].l1_distance(&sigs[2]) < sigs[0].l1_distance(&sigs[1]),
             "repeats of the same phase must be closer than different phases"
         );
-    }
-
-    #[test]
-    fn compiled_trace_codec_round_trips() {
-        let p = prog(4);
-        let ct = CompiledTrace::compile(&p, 4, 6_000, 1_000, 2_048);
-        let bytes = rfp_types::codec::encode_to_vec(&ct);
-        let back: CompiledTrace = rfp_types::codec::decode_from_slice(&bytes).unwrap();
-        assert_eq!(back.ops(), ct.ops());
-        assert_eq!(back.intervals(), ct.intervals());
-        assert_eq!(back.measured_from(), ct.measured_from());
-        assert_eq!(back.interval_len(), ct.interval_len());
-        assert_eq!(back.tail_len(), ct.tail_len());
     }
 
     #[test]

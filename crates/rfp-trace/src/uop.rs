@@ -225,100 +225,6 @@ fn pack_srcs(srcs: &[ArchReg]) -> [Option<ArchReg>; MAX_SRCS] {
     packed
 }
 
-mod codec_impls {
-    //! Binary codec for persisting micro-ops (compiled trace arenas, warm
-    //! snapshots). Structs destructure exhaustively so a new field is a
-    //! compile error here, not silent corruption on disk.
-
-    use super::{MemRef, MicroOp, UopKind, MAX_SRCS};
-    use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-    use rfp_types::ArchReg;
-
-    impl Codec for UopKind {
-        fn encode(&self, w: &mut ByteWriter) {
-            match *self {
-                UopKind::Alu { latency } => {
-                    w.put_u8(0);
-                    w.put_u8(latency);
-                }
-                UopKind::Fp { latency } => {
-                    w.put_u8(1);
-                    w.put_u8(latency);
-                }
-                UopKind::Load => w.put_u8(2),
-                UopKind::Store => w.put_u8(3),
-                UopKind::Branch {
-                    taken,
-                    mispredicted,
-                } => {
-                    w.put_u8(4);
-                    taken.encode(w);
-                    mispredicted.encode(w);
-                }
-            }
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(match r.get_u8()? {
-                0 => UopKind::Alu {
-                    latency: r.get_u8()?,
-                },
-                1 => UopKind::Fp {
-                    latency: r.get_u8()?,
-                },
-                2 => UopKind::Load,
-                3 => UopKind::Store,
-                4 => UopKind::Branch {
-                    taken: bool::decode(r)?,
-                    mispredicted: bool::decode(r)?,
-                },
-                _ => return Err(CodecError::Invalid("UopKind tag")),
-            })
-        }
-    }
-
-    impl Codec for MemRef {
-        fn encode(&self, w: &mut ByteWriter) {
-            let MemRef { addr, size, value } = *self;
-            addr.encode(w);
-            w.put_u8(size);
-            w.put_u64(value);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(MemRef {
-                addr: Codec::decode(r)?,
-                size: r.get_u8()?,
-                value: r.get_u64()?,
-            })
-        }
-    }
-
-    impl Codec for MicroOp {
-        fn encode(&self, w: &mut ByteWriter) {
-            let MicroOp {
-                pc,
-                kind,
-                src_regs,
-                dst,
-                mem,
-            } = *self;
-            pc.encode(w);
-            kind.encode(w);
-            src_regs.encode(w);
-            dst.encode(w);
-            mem.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(MicroOp {
-                pc: Codec::decode(r)?,
-                kind: Codec::decode(r)?,
-                src_regs: <[Option<ArchReg>; MAX_SRCS]>::decode(r)?,
-                dst: Codec::decode(r)?,
-                mem: Codec::decode(r)?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
